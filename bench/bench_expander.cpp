@@ -13,22 +13,14 @@
 //        per-work-item subgraph cost (construction and construction +
 //        double-sweep traversal), CSR builds counted via the
 //        GraphBuilder::total_builds hook, plus the end-to-end build count
-//        of a whole decomposition (0 on the view-only practical path);
-//   E10  backend head-to-head at serving scale (--scale N vertices,
-//        default 100000; bench_serve's multi-cluster shape): the nibble
-//        driver vs the simple-parallel cluster/certify/trim driver
-//        (docs/decomposition.md), each verified against its own
-//        phi_guarantee, with rounds and wall-clock sequential and under
-//        the 8-thread scheduler.
+//        of a whole decomposition (0 on the view-only practical path).
 //
-// With --json FILE, the E3d comparison, the E3e view-overlay numbers, and
-// the E10 head-to-head are also written as JSON (the BENCH_expander.json
-// trajectory emitted by bench/run_all.sh).
+// With --json FILE, the E3d comparison and the E3e view-overlay numbers
+// are also written as JSON (the BENCH_expander.json trajectory emitted by
+// bench/run_all.sh).
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -60,22 +52,13 @@ double elapsed_ms(const std::chrono::steady_clock::time_point start) {
 
 int main(int argc, char** argv) {
   std::string json_path;
-  std::size_t scale = 100000;  // E10 vertex count
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--json" && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::string(argv[i]) == "--scale" && i + 1 < argc) {
-      char* end = nullptr;
-      scale = std::strtoull(argv[i + 1], &end, 10);
-      if (end == argv[i + 1] || *end != '\0' || scale == 0) {
-        std::cerr << "usage: bench_expander [--json PATH] [--scale N]\n";
-        return 2;
-      }
-      ++i;
     } else {
       // Unknown (or dangling) flags fail loudly: a typo'd --json used to
       // silently run the whole suite and write nothing.
-      std::cerr << "usage: bench_expander [--json PATH] [--scale N]\n";
+      std::cerr << "usage: bench_expander [--json PATH]\n";
       return std::string(argv[i]) == "--help" ? 0 : 2;
     }
   }
@@ -366,109 +349,6 @@ int main(int argc, char** argv) {
               << e3d_stats.seq_builds << "\n\n";
   }
 
-  // E10: the two Theorem 1 drivers head-to-head at serving scale, on the
-  // bench_serve multi-cluster shape (--scale vertices in disjoint
-  // G(250, 8/250) blocks).  Each backend is verified against the
-  // phi_guarantee it states for itself; "largest frac" is the biggest
-  // component's share of total volume (a degenerate all-in-one partition
-  // or a shattered one both show up here).
-  struct E10Row {
-    const char* backend;
-    std::uint64_t components = 0;
-    double cut_fraction = 0.0;
-    double min_conductance = 0.0;
-    double largest_frac = 0.0;
-    bool verify_ok = false;
-    std::uint64_t guard_finalized = 0;
-    std::uint64_t seq_rounds = 0;
-    double seq_ms = 0.0;
-    std::uint64_t sched_rounds = 0;
-    double sched_ms = 0.0;
-  };
-  std::vector<E10Row> e10_rows;
-  std::size_t e10_n = 0, e10_m = 0;
-  {
-    const std::size_t cn = 250;
-    const std::size_t clusters = std::max<std::size_t>(1, scale / cn);
-    const std::size_t n = clusters * cn;
-    Rng rg = master.fork(61);
-    GraphBuilder b(n);
-    const double p = 8.0 / static_cast<double>(cn);
-    for (std::size_t c = 0; c < clusters; ++c) {
-      const auto base = static_cast<VertexId>(c * cn);
-      for (std::size_t i = 0; i < cn; ++i) {
-        for (std::size_t j = i + 1; j < cn; ++j) {
-          if (rg.next_bool(p)) {
-            b.add_edge(base + static_cast<VertexId>(i),
-                       base + static_cast<VertexId>(j));
-          }
-        }
-      }
-    }
-    const Graph g = b.build();
-    e10_n = g.num_vertices();
-    e10_m = g.num_edges();
-
-    Table e10("E10: decomposition backends head-to-head (multi-cluster, n = " +
-                  std::to_string(n) + ", epsilon = 0.25, k = 2, phi0 = 0.06)",
-              {"backend", "comps", "cut frac", "min cond", "largest frac",
-               "verify", "guarded", "seq rounds", "seq ms", "sched rounds",
-               "sched ms"});
-    for (const auto backend : {expander::DecompositionBackend::kNibble,
-                               expander::DecompositionBackend::kSimpleParallel}) {
-      const auto timed_run = [&](int scheduler_threads, double& ms) {
-        expander::DecompositionParams prm;
-        prm.epsilon = 0.25;
-        prm.k = 2;
-        prm.phi0_override = 0.06;
-        prm.scheduler_threads = scheduler_threads;
-        prm.backend = backend;
-        Rng rng(4242);
-        congest::RoundLedger ledger;
-        const auto start = std::chrono::steady_clock::now();
-        const auto res = expander::expander_decomposition(g, prm, rng, ledger);
-        ms = elapsed_ms(start);
-        return res;
-      };
-
-      E10Row row;
-      row.backend = expander::to_string(backend);
-      const auto seq = timed_run(0, row.seq_ms);
-      const auto sched = timed_run(8, row.sched_ms);
-      XD_CHECK_MSG(seq.backend == backend,
-                   row.backend << " selector did not reach the driver");
-      XD_CHECK_MSG(sched.component == seq.component,
-                   row.backend << " backend diverged under the scheduler");
-      const auto report =
-          expander::verify_decomposition(g, seq, 0.25, seq.phi_guarantee);
-      row.components = seq.num_components;
-      row.cut_fraction = report.cut_fraction;
-      row.min_conductance = report.min_conductance_lower;
-      row.verify_ok = report.ok();
-      row.guard_finalized = seq.guard_finalized;
-      row.seq_rounds = seq.rounds;
-      row.sched_rounds = sched.rounds;
-      std::uint64_t largest = 0, total = 0;
-      for (const auto& q : report.components) {
-        largest = std::max(largest, q.volume);
-        total += q.volume;
-      }
-      row.largest_frac =
-          total == 0 ? 0.0
-                     : static_cast<double>(largest) / static_cast<double>(total);
-      e10_rows.push_back(row);
-      e10.add_row({row.backend, Table::cell(row.components),
-                   Table::cell(row.cut_fraction, 4),
-                   Table::cell(row.min_conductance, 5),
-                   Table::cell(row.largest_frac, 4),
-                   row.verify_ok ? "ok" : "FAIL",
-                   Table::cell(row.guard_finalized),
-                   Table::cell(row.seq_rounds), Table::cell(row.seq_ms, 1),
-                   Table::cell(row.sched_rounds), Table::cell(row.sched_ms, 1)});
-    }
-    e10.print();
-  }
-
   if (!json_path.empty()) {
     std::ofstream os(json_path);
     os << "{\n  \"graph\": \"dumbbell_expanders(240,240,4,2)\",\n"
@@ -502,28 +382,7 @@ int main(int argc, char** argv) {
        << e3e_stats.mat_sweep_ms / e3e_stats.view_sweep_ms << ",\n"
        << "    \"materialize_csr_builds\": " << e3e_stats.mat_builds << ",\n"
        << "    \"view_csr_builds\": " << e3e_stats.view_builds << "\n"
-       << "  },\n"
-       << "  \"e10\": {\n"
-       << "    \"graph\": \"multi_cluster(" << e10_n << ")\",\n"
-       << "    \"n\": " << e10_n << ",\n"
-       << "    \"m\": " << e10_m << ",\n"
-       << "    \"backends\": [\n";
-    for (std::size_t i = 0; i < e10_rows.size(); ++i) {
-      const auto& r = e10_rows[i];
-      os << "      {\"backend\": \"" << r.backend << "\""
-         << ", \"components\": " << r.components
-         << ", \"cut_fraction\": " << r.cut_fraction
-         << ", \"min_conductance\": " << r.min_conductance
-         << ", \"largest_component_fraction\": " << r.largest_frac
-         << ", \"verify_ok\": " << (r.verify_ok ? "true" : "false")
-         << ", \"guard_finalized\": " << r.guard_finalized
-         << ", \"seq_rounds\": " << r.seq_rounds
-         << ", \"seq_wall_ms\": " << r.seq_ms
-         << ", \"sched_rounds\": " << r.sched_rounds
-         << ", \"sched_wall_ms\": " << r.sched_ms << "}"
-         << (i + 1 < e10_rows.size() ? "," : "") << "\n";
-    }
-    os << "    ]\n  }\n}\n";
+       << "  }\n}\n";
     std::cerr << "wrote " << json_path << "\n";
   }
   return 0;

@@ -132,9 +132,7 @@ for name in "${NAMES[@]}"; do
   if [[ "$name" == bench_expander || "$name" == bench_triangle ||
         "$name" == bench_routing || "$name" == bench_serve ]]; then
     # These emit structured JSON themselves: the E3d sequential-vs-
-    # scheduler comparison (rounds + wall-clock at 1/2/8 host threads)
-    # plus the E10 decomposition-backend head-to-head at its default
-    # --scale 100000 (nibble vs simple-parallel, both verified),
+    # scheduler comparison (rounds + wall-clock at 1/2/8 host threads),
     # the E4d flat-vs-seed proxy-join comparison (acceptance: >= 3x at
     # 100k scale), the E5c/E5d routing comparisons (simulated GKS vs
     # charged model; flat arena >= 3x the map drain at 100k messages),

@@ -15,8 +15,7 @@ namespace xd::congest {
 
 namespace {
 
-constexpr std::size_t kWireHeaderBytes = 40;        // v2
-constexpr std::size_t kWireLegacyHeaderBytes = 24;  // v1
+constexpr std::size_t kWireHeaderBytes = 40;
 constexpr std::size_t kWireCrcOffset = 32;
 constexpr std::size_t kWireRecordBytes = 28;
 
@@ -36,7 +35,7 @@ int clamp_workers(int workers, int shards) {
 
 namespace {
 
-/// CRC-32C of a v2 frame with the crc field's own four bytes taken as zero
+/// CRC-32C of a frame with the crc field's own four bytes taken as zero
 /// (three streaming chunks; the xor conventions cancel across calls).
 std::uint32_t frame_crc(std::span<const unsigned char> bytes) {
   static constexpr unsigned char kZero[4] = {0, 0, 0, 0};
@@ -60,9 +59,9 @@ bool decode_impl(std::span<const unsigned char> bytes,
     *err = os.str();
     return false;
   };
-  if (bytes.size() < kWireLegacyHeaderBytes) {
+  if (bytes.size() < kWireHeaderBytes) {
     return fail("shard buffer truncated: ", bytes.size(),
-                " bytes, header needs ", kWireLegacyHeaderBytes);
+                " bytes, header needs ", kWireHeaderBytes);
   }
   const unsigned char* p = bytes.data();
   auto get32 = [&p] {
@@ -82,32 +81,22 @@ bool decode_impl(std::span<const unsigned char> bytes,
     return fail("shard buffer bad magic ", magic);
   }
   const std::uint32_t version = get32();
-  if (version != kShardBufferVersion && version != kShardBufferLegacyVersion) {
+  if (version != kShardBufferVersion) {
     return fail("shard buffer version ", version, " unsupported (want ",
-                kShardBufferVersion, " or ", kShardBufferLegacyVersion, ")");
-  }
-  const std::size_t header_bytes = version == kShardBufferLegacyVersion
-                                       ? kWireLegacyHeaderBytes
-                                       : kWireHeaderBytes;
-  if (bytes.size() < header_bytes) {
-    return fail("shard buffer truncated: ", bytes.size(),
-                " bytes, v", version, " header needs ", header_bytes);
+                kShardBufferVersion, ")");
   }
   *sender_shard = get32();
   *dest_shard = get32();
   const std::uint64_t count = get64();
-  std::uint64_t frame_seq = 0;
-  if (version == kShardBufferVersion) {
-    frame_seq = get64();
-    const std::uint32_t stored_crc = get32();
-    get32();  // reserved
-    if (stored_crc != frame_crc(bytes)) {
-      return fail("shard buffer CRC mismatch (stored ", stored_crc, ")");
-    }
+  const std::uint64_t frame_seq = get64();
+  const std::uint32_t stored_crc = get32();
+  get32();  // reserved
+  if (stored_crc != frame_crc(bytes)) {
+    return fail("shard buffer CRC mismatch (stored ", stored_crc, ")");
   }
   if (seq != nullptr) *seq = frame_seq;
-  if (count > (bytes.size() - header_bytes) / kWireRecordBytes ||
-      bytes.size() != header_bytes + kWireRecordBytes * count) {
+  if (count > (bytes.size() - kWireHeaderBytes) / kWireRecordBytes ||
+      bytes.size() != kWireHeaderBytes + kWireRecordBytes * count) {
     return fail("shard buffer size ", bytes.size(), " != header + ", count,
                 " records");
   }

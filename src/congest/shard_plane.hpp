@@ -69,19 +69,19 @@ struct ShardDeliveryStats {
 /// u64}}, all little-endian.  The CRC-32C covers the whole frame with the
 /// crc field's four bytes taken as zero; the sequence number stamps every
 /// frame of one logical exchange so stale retransmits are rejectable.
-/// Version-1 frames (24-byte header, no seq/crc) are still decodable.
+/// Any other version -- including the retired 24-byte-header version 1 --
+/// is rejected.
 /// deliver() swaps buffers through shared memory; a process-boundary
 /// transport would ship exactly these bytes (docs/sharding.md,
 /// docs/robustness.md).
 inline constexpr std::uint32_t kShardBufferMagic = 0x42534458u;  // "XDSB"
 inline constexpr std::uint32_t kShardBufferVersion = 2;
-inline constexpr std::uint32_t kShardBufferLegacyVersion = 1;
 
 [[nodiscard]] std::vector<unsigned char> encode_shard_buffer(
     std::uint32_t sender_shard, std::uint32_t dest_shard,
     const detail::StagingBuffer& buf, std::uint64_t seq = 0);
 /// Strict decode: throws CheckError on any structural or integrity defect.
-/// `seq` (optional) receives the frame's sequence number (0 for v1 frames).
+/// `seq` (optional) receives the frame's sequence number.
 void decode_shard_buffer(std::span<const unsigned char> bytes,
                          std::uint32_t* sender_shard, std::uint32_t* dest_shard,
                          detail::StagingBuffer* out,

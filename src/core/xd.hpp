@@ -41,7 +41,6 @@
 #include "expander/cross_check.hpp"
 #include "expander/decomposition.hpp"
 #include "expander/params.hpp"
-#include "expander/simple_parallel.hpp"
 #include "expander/verify.hpp"
 #include "graph/access.hpp"
 #include "graph/generators.hpp"

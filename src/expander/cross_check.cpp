@@ -61,11 +61,9 @@ std::uint64_t partition_fingerprint(const DecompositionResult& result) {
   return h;
 }
 
-BackendObservation observe_backend(const Graph& g, DecompositionParams prm,
-                                   std::uint64_t seed) {
-  BackendObservation obs;
-  obs.backend = prm.backend;
-  const char* name = to_string(prm.backend);
+Theorem1Observation observe_theorem1(const Graph& g, DecompositionParams prm,
+                                     std::uint64_t seed) {
+  Theorem1Observation obs;
 
   std::uint64_t seq_rounds = 0;
   obs.result = run_once(g, prm, seed, /*threads=*/0, &seq_rounds);
@@ -73,12 +71,12 @@ BackendObservation observe_backend(const Graph& g, DecompositionParams prm,
   obs.round_budget = theorem1_round_budget(g.num_vertices(), g.num_edges());
 
   const auto fail = [&](const std::string& what) {
-    obs.violations.push_back(std::string(name) + ": " + what);
+    obs.violations.push_back(what);
   };
 
-  // (1) The verify.cpp oracles, against the backend's own promised floor.
-  obs.report =
-      verify_decomposition(g, obs.result, prm.epsilon, obs.result.phi_guarantee);
+  // (1) The verify.cpp oracles, against the schedule's φ_k floor.
+  const double phi = obs.result.schedule.phi_final();
+  obs.report = verify_decomposition(g, obs.result, prm.epsilon, phi);
   if (!obs.report.is_partition) fail("components do not partition V");
   if (!obs.report.cut_within_epsilon) {
     std::ostringstream msg;
@@ -89,7 +87,7 @@ BackendObservation observe_backend(const Graph& g, DecompositionParams prm,
   if (!obs.report.conductance_meets_phi) {
     std::ostringstream msg;
     msg << "min conductance lower bound " << obs.report.min_conductance_lower
-        << " below promised phi " << obs.result.phi_guarantee;
+        << " below promised phi " << phi;
     fail(msg.str());
   }
 
@@ -123,27 +121,13 @@ BackendObservation observe_backend(const Graph& g, DecompositionParams prm,
   return obs;
 }
 
-std::string CrossCheckReport::summary() const {
+std::string Theorem1Observation::summary() const {
   std::string all;
-  for (const auto* obs : {&nibble, &simple_parallel}) {
-    for (const std::string& v : obs->violations) {
-      if (!all.empty()) all += "; ";
-      all += v;
-    }
+  for (const std::string& v : violations) {
+    if (!all.empty()) all += "; ";
+    all += v;
   }
   return all;
-}
-
-CrossCheckReport cross_check_backends(const Graph& g,
-                                      const DecompositionParams& base,
-                                      std::uint64_t seed) {
-  CrossCheckReport report;
-  DecompositionParams prm = base;
-  prm.backend = DecompositionBackend::kNibble;
-  report.nibble = observe_backend(g, prm, seed);
-  prm.backend = DecompositionBackend::kSimpleParallel;
-  report.simple_parallel = observe_backend(g, prm, seed);
-  return report;
 }
 
 }  // namespace xd::expander

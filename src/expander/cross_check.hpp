@@ -1,27 +1,21 @@
 #pragma once
 
 /// \file cross_check.hpp
-/// Cross-backend differential validation of Theorem 1 (docs/decomposition.md).
-///
-/// Two independent drivers now produce (ε, φ)-expander decompositions: the
-/// Chang–Saranurak nibble driver and the CMPS-style simple-parallel driver
-/// (simple_parallel.hpp).  Pinned constants catch regressions in one
-/// implementation; running both over one corpus and holding each to the
-/// contract the paper actually states catches *agreement bugs* -- a guard
-/// that silently eats quality, a charging argument that stopped closing, a
-/// scheduler merge that is only deterministic on one code path.  Per
-/// backend the harness checks:
+/// The Theorem 1 contract harness (docs/decomposition.md): runs the
+/// decomposition on one graph and holds it to the contract the paper
+/// states, checked by the independent verify.cpp oracles rather than by
+/// pinned constants.  Pins catch regressions; the contract catches a guard
+/// that silently eats quality, a charging argument that stopped closing,
+/// or a scheduler merge that is only deterministic at one thread count.
+/// The harness checks:
 ///
 ///   * the verify.cpp oracles pass: valid partition, inter-component edges
-///     <= ε|E|, every component's conductance lower bound >= the backend's
-///     own phi_guarantee;
+///     <= ε|E|, every component's conductance lower bound >= φ_k
+///     (schedule.phi_final());
 ///   * outputs are bit-identical at 1/2/8 scheduler threads (same
 ///     partition, overlay, removal counts as the sequential run);
 ///   * scheduled rounds never exceed the sequential sum, and the
 ///     sequential sum stays under the charged Õ(n+m) budget.
-///
-/// bench_expander's E10 section reuses these observations for the
-/// head-to-head quality/rounds/wall-clock table.
 
 #include <cstdint>
 #include <string>
@@ -44,46 +38,29 @@ std::uint64_t theorem1_round_budget(std::size_t n, std::size_t m);
 
 /// Order-sensitive fingerprint of everything the determinism contract
 /// pins: component labels, the removed-edge overlay, per-reason removal
-/// counts, and the component count.  Golden tests pin this per backend.
+/// counts, and the component count.  perfbench compares it across runs.
 std::uint64_t partition_fingerprint(const DecompositionResult& result);
 
-/// One backend's observed behaviour on one graph.
-struct BackendObservation {
-  DecompositionBackend backend = DecompositionBackend::kNibble;
+/// The decomposition's observed behaviour on one graph.
+struct Theorem1Observation {
   DecompositionResult result;   ///< the sequential (threads = 0) run
-  VerificationReport report;    ///< verified against result.phi_guarantee
+  VerificationReport report;    ///< verified against schedule.phi_final()
   std::uint64_t fingerprint = 0;
   std::uint64_t scheduled_rounds = 0;  ///< rounds at scheduler_threads = 2
   std::uint64_t round_budget = 0;
-  /// Contract violations, human-readable; empty means the backend held
-  /// the Theorem 1 contract on this graph.
+  /// Contract violations, human-readable; empty means the decomposition
+  /// held the Theorem 1 contract on this graph.
   std::vector<std::string> violations;
 
   [[nodiscard]] bool ok() const { return violations.empty(); }
-};
-
-/// Runs `prm.backend` on g -- sequentially first, then at 1/2/8 scheduler
-/// threads -- and records every contract violation.  `seed` feeds the
-/// caller-level Rng, so equal seeds make runs comparable across backends.
-BackendObservation observe_backend(const Graph& g, DecompositionParams prm,
-                                   std::uint64_t seed);
-
-/// Both backends on one graph under one parameter set.
-struct CrossCheckReport {
-  BackendObservation nibble;
-  BackendObservation simple_parallel;
-
-  [[nodiscard]] bool ok() const {
-    return nibble.ok() && simple_parallel.ok();
-  }
-  /// All violations, each prefixed with its backend name (empty iff ok()).
+  /// All violations joined with "; " (empty iff ok()).
   [[nodiscard]] std::string summary() const;
 };
 
-/// Runs the full differential check: base params with backend overridden
-/// to each driver in turn, same seed.
-CrossCheckReport cross_check_backends(const Graph& g,
-                                      const DecompositionParams& base,
-                                      std::uint64_t seed);
+/// Runs the decomposition on g -- sequentially first, then at 1/2/8
+/// scheduler threads -- and records every contract violation.  `seed`
+/// feeds the caller-level Rng.
+Theorem1Observation observe_theorem1(const Graph& g, DecompositionParams prm,
+                                     std::uint64_t seed);
 
 }  // namespace xd::expander

@@ -7,7 +7,6 @@
 
 #include "congest/network.hpp"
 #include "congest/scheduler.hpp"
-#include "expander/simple_parallel.hpp"
 #include "graph/graph_view.hpp"
 #include "graph/metrics.hpp"
 #include "graph/subgraph.hpp"
@@ -39,7 +38,10 @@ struct WorkItem {
 };
 
 /// Deferred effects of one work item, applied by the driver at the barrier.
+/// `input` keeps the item's own vertex set so the εm budget guard can
+/// finalize the part untouched when its removals no longer fit.
 struct ItemResult {
+  std::vector<VertexId> input;
   std::vector<std::pair<EdgeId, RemoveReason>> removals;
   std::vector<std::vector<VertexId>> finals;
   std::vector<WorkItem> children;
@@ -58,6 +60,7 @@ struct Driver {
 
   std::vector<char> removed;               // ambient edge overlay
   std::vector<std::vector<VertexId>> finals;
+  std::uint64_t removal_budget = 0;        // ⌊ε·|E|⌋, enforced at the barrier
   DecompositionResult* out = nullptr;
 
   std::uint64_t ambient_volume(const std::vector<VertexId>& ids) const {
@@ -107,34 +110,50 @@ void Driver::run(std::vector<VertexId> start, Rng top_rng) {
     }
 
     // Barrier merge, in item-index order so ids and counters replay
-    // identically at every thread count.
+    // identically at every thread count.  The εm budget guard lives here,
+    // not in the items: items race on host threads and cannot see a shared
+    // running total without breaking bit-identity, while the merge order is
+    // the same at every thread count, so "which item hit the ceiling"
+    // replays exactly.  A guarded item's work was still done (and charged),
+    // so its sparse-cut calls and depth count; its effects are dropped.
     std::vector<WorkItem> next;
     for (auto& res : results) {
+      out->sparse_cut_calls += res.sparse_cut_calls;
+      out->max_phase1_depth = std::max(out->max_phase1_depth, res.depth_seen);
+      if (out->total_removed() + res.removals.size() > removal_budget) {
+        finals.push_back(std::move(res.input));
+        ++out->guard_finalized;
+        continue;
+      }
       for (const auto& [ambient, reason] : res.removals) {
         mark_removed(ambient, reason);
       }
       for (auto& part : res.finals) finals.push_back(std::move(part));
       for (auto& child : res.children) next.push_back(std::move(child));
-      out->sparse_cut_calls += res.sparse_cut_calls;
       out->phase2_entries += res.phase2_entries;
       out->singleton_components += res.singletons;
-      out->max_phase1_depth = std::max(out->max_phase1_depth, res.depth_seen);
     }
     epoch = std::move(next);
   }
 }
 
 ItemResult Driver::run_item(WorkItem& item, congest::RoundLedger& lg) const {
+  // The kind handlers consume item.u; keep a copy for the budget guard.
+  std::vector<VertexId> input = item.u;
+  ItemResult res;
   switch (item.kind) {
     case WorkItem::Kind::kLdd:
-      return run_ldd(item, lg);
+      res = run_ldd(item, lg);
+      break;
     case WorkItem::Kind::kCut:
-      return run_cut(item, lg);
+      res = run_cut(item, lg);
+      break;
     case WorkItem::Kind::kPhase2:
-      return run_phase2(item, lg);
+      res = run_phase2(item, lg);
+      break;
   }
-  XD_CHECK_MSG(false, "unreachable work-item kind");
-  return {};
+  res.input = std::move(input);
+  return res;
 }
 
 // Phase 1, step 1: LDD on G{U}; Remove-1 its cut edges; one kCut child per
@@ -383,10 +402,10 @@ ItemResult Driver::run_phase2(WorkItem& item, congest::RoundLedger& lg) const {
   }
 }
 
-}  // namespace
-
-namespace detail {
-
+/// Final assembly: splits every finalized part into its connected
+/// components on the removed-edge overlay (a final part can be
+/// disconnected via the practical guards), assigns dense ids in finals
+/// order, and checks the partition covers V exactly once.
 void assemble_components(const Graph& g, const std::vector<char>& removed,
                          const std::vector<std::vector<VertexId>>& finals,
                          DecompositionResult& out) {
@@ -422,16 +441,13 @@ void assemble_components(const Graph& g, const std::vector<char>& removed,
   }
 }
 
-}  // namespace detail
+}  // namespace
 
 DecompositionResult expander_decomposition(const Graph& g,
                                            const DecompositionParams& prm,
                                            Rng& rng,
                                            congest::RoundLedger& ledger) {
   XD_CHECK(g.num_vertices() >= 2);
-  if (prm.backend == DecompositionBackend::kSimpleParallel) {
-    return detail::simple_parallel_decomposition(g, prm, rng, ledger);
-  }
   DecompositionResult out;
   out.schedule = derive_schedule(prm, g.num_vertices(),
                                  std::max<std::size_t>(g.num_edges(), 1),
@@ -446,6 +462,8 @@ DecompositionResult expander_decomposition(const Graph& g,
   driver.schedule = out.schedule;
   driver.ledger = &ledger;
   driver.removed.assign(g.num_edges(), 0);
+  driver.removal_budget = static_cast<std::uint64_t>(
+      prm.epsilon * static_cast<double>(g.num_edges()));
   driver.out = &out;
 
   // Isolated vertices are their own components; everything else enters
@@ -465,10 +483,8 @@ DecompositionResult expander_decomposition(const Graph& g,
 
   out.removed_edge = driver.removed;
   out.rounds = ledger.rounds() - rounds_before;
-  out.backend = DecompositionBackend::kNibble;
-  out.phi_guarantee = out.schedule.phi_final();
 
-  detail::assemble_components(g, driver.removed, driver.finals, out);
+  assemble_components(g, driver.removed, driver.finals, out);
   return out;
 }
 

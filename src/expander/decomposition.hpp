@@ -58,18 +58,12 @@ struct DecompositionResult {
   /// Scheduler epochs executed (batches of concurrent work items); with
   /// scheduler_threads >= 1 the round total is a sum of per-epoch maxima.
   std::uint64_t epochs = 0;
-  /// Backend that produced this result (mirrors prm.backend).
-  DecompositionBackend backend = DecompositionBackend::kNibble;
-  /// Parts finalized by a practical guard (depth, trim, or εm budget)
-  /// instead of a certifying sparse-cut miss.  Only the simple-parallel
-  /// backend tracks this; the nibble driver reports 0 (its guards are
-  /// equally silent about quality, but its verified floor is the tiny
-  /// φ_k, which guard-finalized parts still clear in practice).
+  /// Work items finalized by the εm budget guard: at the epoch barrier an
+  /// item whose removals would push the running total past ⌊ε·|E|⌋ has its
+  /// input part finalized as-is (its removals and children dropped), so
+  /// the Theorem 1 cut budget holds unconditionally.  0 on every input
+  /// where the charging argument already keeps the cut within budget.
   std::uint64_t guard_finalized = 0;
-  /// Conductance floor this result promises to the verifier: φ_k for the
-  /// nibble schedule; for simple-parallel, the Cheeger-checkable square of
-  /// the certification target when no guard fired, else the φ_k floor.
-  double phi_guarantee = 0.0;
 
   [[nodiscard]] std::uint64_t total_removed() const {
     return removed_by[0] + removed_by[1] + removed_by[2];
@@ -89,17 +83,5 @@ DecompositionResult expander_decomposition(const Graph& g,
                                            const DecompositionParams& prm,
                                            Rng& rng,
                                            congest::RoundLedger& ledger);
-
-namespace detail {
-
-/// Shared final assembly of both backends: splits every finalized part
-/// into its connected components on the removed-edge overlay (a final
-/// part can be disconnected via the practical guards), assigns dense ids
-/// in finals order, and checks the partition covers V exactly once.
-void assemble_components(const Graph& g, const std::vector<char>& removed,
-                         const std::vector<std::vector<VertexId>>& finals,
-                         DecompositionResult& out);
-
-}  // namespace detail
 
 }  // namespace xd::expander

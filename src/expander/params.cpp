@@ -8,26 +8,6 @@
 
 namespace xd::expander {
 
-DecompositionBackend parse_decomposition_backend(const std::string& name) {
-  if (name == "nibble") return DecompositionBackend::kNibble;
-  if (name == "simple-parallel") return DecompositionBackend::kSimpleParallel;
-  XD_CHECK_MSG(false, "unknown decomposition backend '"
-                          << name << "' (want nibble | simple-parallel)");
-  return DecompositionBackend::kNibble;
-}
-
-const char* to_string(DecompositionBackend backend) {
-  switch (backend) {
-    case DecompositionBackend::kNibble:
-      return "nibble";
-    case DecompositionBackend::kSimpleParallel:
-      return "simple-parallel";
-  }
-  XD_CHECK_MSG(false, "decomposition backend out of range: "
-                          << static_cast<int>(backend));
-  return "nibble";
-}
-
 double h_of(double theta, std::size_t m, std::uint64_t vol, Preset preset) {
   XD_CHECK(theta > 0);
   // Single source of truth: Theorem 3's contract as implemented (and, in

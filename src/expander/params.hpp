@@ -15,7 +15,6 @@
 ///               = (ε/log n)^{2^{O(k)}}.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sparsecut/nibble_params.hpp"
@@ -24,26 +23,14 @@ namespace xd::expander {
 
 using sparsecut::Preset;
 
-/// Which Theorem 1 driver runs (docs/decomposition.md).
+/// The Theorem 1 driver: the Chang–Saranurak two-phase nibble driver
+/// (arXiv:1904.08037), the only one there is (docs/decomposition.md).
+/// The enum survives only as the type of DecompositionParams::backend and
+/// serve::PrepareParams::decomp_backend, which existing callers still
+/// assign to one another; it selects nothing.
 enum class DecompositionBackend : int {
-  /// The Chang–Saranurak two-phase nibble driver (arXiv:1904.08037):
-  /// Phase 1 LDD + nearly-most-balanced sparse cut recursion, Phase 2
-  /// level schedule with Remove-3 rip-outs.  The default.
   kNibble = 0,
-  /// The simple/parallel driver in the Chen–Meierhans–Probst Gutenberg–
-  /// Saranurak style (arXiv:2410.13451): cluster → certify → trim at one
-  /// conductance target, no level schedule.  Fewer moving parts, an
-  /// unconditional εm cut budget, and typically far fewer charged rounds.
-  kSimpleParallel = 1,
 };
-
-/// Parses a backend selector string ("nibble" | "simple-parallel");
-/// throws a typed CheckError on anything else.
-DecompositionBackend parse_decomposition_backend(const std::string& name);
-
-/// Inverse of parse_decomposition_backend (also accepts the int-cast
-/// round trip from XDA1 META; throws CheckError on out-of-range values).
-const char* to_string(DecompositionBackend backend);
 
 /// Inputs of Theorem 1.
 struct DecompositionParams {
@@ -71,9 +58,9 @@ struct DecompositionParams {
   /// assume; docs/rounds.md).  Outputs are bit-identical across all
   /// settings; only round totals and wall-clock change.
   int scheduler_threads = 0;
-  /// Which driver runs.  Both backends share the schedule derivation, the
-  /// GraphView overlay, the epoch scheduler, and the verify contract; they
-  /// differ in how they reach it (docs/decomposition.md).
+  /// Kept only so callers that copy serve::PrepareParams::decomp_backend
+  /// here still compile; there is one driver and this field selects
+  /// nothing.
   DecompositionBackend backend = DecompositionBackend::kNibble;
 };
 

@@ -190,7 +190,9 @@ LoadedGraph read_binary_edge_list_file(const std::string& path,
   const std::uint64_t m = load_le<std::uint64_t>(p + 16);
   XD_CHECK_MSG(n64 <= 0xffffffffu, path << ": n=" << n64 << " exceeds u32 ids");
   const std::size_t n = static_cast<std::size_t>(n64);
-  XD_CHECK_MSG(file.size() == kHeaderBytes + 8 * m,
+  // Division form: kHeaderBytes + 8 * m wraps for m >= 2^61.
+  const std::size_t payload = file.size() - kHeaderBytes;
+  XD_CHECK_MSG(payload % 8 == 0 && payload / 8 == m,
                path << ": size " << file.size() << " != header + 8*m for m="
                     << m);
 

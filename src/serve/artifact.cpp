@@ -204,7 +204,6 @@ PreparedArtifact prepare_artifact(const Graph& g, const PrepareParams& prm) {
   dprm.k = prm.enumerate.k;
   dprm.phi0_override = prm.enumerate.phi0_override;
   dprm.scheduler_threads = prm.enumerate.scheduler_threads;
-  dprm.backend = prm.decomp_backend;
   Rng drng = Rng(prm.seed).fork(0xD5C0);
   const auto decomp = expander::expander_decomposition(g, dprm, drng, ledger);
   art.component = decomp.component;
@@ -473,7 +472,10 @@ PreparedArtifact load_artifact(const std::string& path) {
     XD_CHECK_MSG(offset == expect_offset,
                  path << ": section " << s << " offset " << offset
                       << " != expected " << expect_offset);
-    XD_CHECK_MSG(offset + size <= file.size(),
+    // Subtraction form: offset <= file.size() holds here (it equals the
+    // previous section's end), and offset + size could wrap on a crafted
+    // u64 size.
+    XD_CHECK_MSG(size <= file.size() - offset,
                  path << ": section " << s << " overruns the file (offset "
                       << offset << " + size " << size << " > " << file.size()
                       << ")");
@@ -639,18 +641,24 @@ PreparedArtifact load_artifact(const std::string& path) {
     art.phi0 = src.get<double>();
     art.k = src.get<std::int32_t>();
     art.backend = src.get<std::int32_t>();
+    constexpr int kLastRouter =
+        static_cast<int>(triangle::RouterBackend::kHierarchicalSim);
+    XD_CHECK_MSG(art.backend >= 0 && art.backend <= kLastRouter,
+                 path << ": META router backend " << art.backend
+                      << " unknown");
     art.seed = src.get<std::uint64_t>();
     art.build_rounds = src.get<std::uint64_t>();
     art.build_messages = src.get<std::uint64_t>();
     art.enum_rounds = src.get<std::uint64_t>();
     art.router_queries = src.get<std::uint64_t>();
     art.enum_levels = src.get<std::uint32_t>();
-    // The once-reserved slot now names the decomposition backend; legacy
-    // zero reads as nibble, and anything unknown is a typed load error.
-    art.decomp_backend = static_cast<int>(src.get<std::uint32_t>());
-    XD_CHECK_MSG(art.decomp_backend <= 1,
-                 path << ": META decomposition backend " << art.decomp_backend
+    // The decomposition-driver slot: 0 is nibble, 1 a legacy
+    // simple-parallel build.  Checked on the raw u32, before any cast.
+    const auto decomp_backend = src.get<std::uint32_t>();
+    XD_CHECK_MSG(decomp_backend <= 1,
+                 path << ": META decomposition backend " << decomp_backend
                       << " unknown");
+    art.decomp_backend = static_cast<int>(decomp_backend);
     art.clusters_processed = src.get<std::uint64_t>();
   }
 

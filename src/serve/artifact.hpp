@@ -50,9 +50,10 @@ inline constexpr std::uint32_t kArtifactVersion = 1;
 struct PrepareParams {
   triangle::EnumParams enumerate;
   std::uint64_t seed = 17;
-  /// Which Theorem 1 driver preprocesses the serving partition
-  /// (docs/decomposition.md); recorded in META so a reloaded artifact
-  /// reports which backend built it.
+  /// Kept only because existing callers copy it into
+  /// expander::DecompositionParams::backend; there is one Theorem 1 driver
+  /// (docs/decomposition.md) and this field selects nothing.  Recorded in
+  /// META as 0.
   expander::DecompositionBackend decomp_backend =
       expander::DecompositionBackend::kNibble;
 };
@@ -101,9 +102,10 @@ struct PreparedArtifact {
   int k = 0;
   double phi0 = 0.0;
   int backend = 0;  ///< triangle::RouterBackend of the build
-  /// expander::DecompositionBackend of the build (the legacy reserved
-  /// META slot: old files read back as 0 == nibble, and nibble-built
-  /// files stay byte-identical to pre-selector artifacts).
+  /// Decomposition-driver code of the build: 0 for nibble; 1 marks a
+  /// legacy file built by the since-removed simple-parallel driver, which
+  /// still loads (its partition is a valid decomposition) and re-saves
+  /// byte-identically.
   int decomp_backend = 0;
   std::uint64_t seed = 0;
   std::uint64_t build_rounds = 0;    ///< total charged rounds of the prepare

@@ -211,28 +211,30 @@ TEST(Artifact, RoundTripPreservesEveryField) {
   EXPECT_EQ(back.tri_ids, art.tri_ids);
 }
 
-TEST(Artifact, DecompositionBackendRoundTripsThroughMeta) {
-  // The selector lands in the META section's once-reserved slot: a
-  // simple-parallel build reloads as simple-parallel, a default build
-  // reloads as nibble (and stays byte-compatible with legacy files whose
-  // slot was always zero).
-  PrepareParams prm = golden_params(0);
-  prm.decomp_backend = expander::DecompositionBackend::kSimpleParallel;
-  const auto art = prepare_artifact(small_graph(), prm);
-  EXPECT_EQ(art.decomp_backend, 1);
-  const std::string path = tmp_path("backend.xda");
+TEST(Artifact, LegacySimpleParallelMetaStillLoads) {
+  // Files built by the since-removed simple-parallel driver carry 1 in
+  // META's decomposition-driver slot.  Their partition is still a valid
+  // decomposition, so they load, report 1, and re-save byte-identically
+  // apart from the checksum the legacy zero sentinel gains on save.
+  const auto art = prepare_artifact(small_graph(), golden_params(0));
+  EXPECT_EQ(art.decomp_backend, 0);
+  const std::string path = tmp_path("legacy_sp.xda");
   save_artifact(art, path);
+  auto legacy = read_file(path);
+  patch<std::uint64_t>(legacy, 24, 0);  // CRC 0: legacy "no checksum"
+  patch<std::uint32_t>(legacy, section_offset(legacy, 5) + 68, 1u);
+  write_file(path, legacy);
+
   const auto back = load_artifact(path);
   EXPECT_EQ(back.decomp_backend, 1);
-  EXPECT_STREQ(expander::to_string(static_cast<expander::DecompositionBackend>(
-                   back.decomp_backend)),
-               "simple-parallel");
-
-  const auto def = prepare_artifact(small_graph(), golden_params(0));
-  EXPECT_EQ(def.decomp_backend, 0);
-  EXPECT_STREQ(expander::to_string(static_cast<expander::DecompositionBackend>(
-                   def.decomp_backend)),
-               "nibble");
+  EXPECT_EQ(back.component, art.component);
+  const std::string resaved_path = tmp_path("legacy_sp_resaved.xda");
+  save_artifact(back, resaved_path);
+  auto resaved = read_file(resaved_path);
+  EXPECT_NE(peek<std::uint64_t>(resaved, 24), 0u);
+  patch<std::uint64_t>(resaved, 24, 0);
+  EXPECT_EQ(resaved, legacy);
+  EXPECT_EQ(load_artifact(resaved_path).decomp_backend, 1);
 }
 
 // ------------------------------------------------------------ query layer
@@ -428,12 +430,43 @@ TEST_F(ArtifactReject, TrianglesNotSorted) {
 }
 
 TEST_F(ArtifactReject, UnknownDecompositionBackend) {
-  auto b = bytes_;
   // Zero the whole-file checksum first (legacy "no checksum" sentinel) so
-  // the META range check itself fires, not the CRC mismatch.
+  // the META range check itself fires, not the CRC mismatch.  The high-bit
+  // values must be rejected on the raw u32, not after a cast to int.
+  for (const std::uint32_t code : {2u, 7u, 0x80000000u, 0xffffffffu}) {
+    auto b = bytes_;
+    patch<std::uint64_t>(b, 24, 0);
+    patch<std::uint32_t>(b, section_offset(b, 5) + 68, code);
+    expect_reject(b, "decomposition backend");
+  }
+}
+
+TEST_F(ArtifactReject, UnknownRouterBackend) {
+  for (const std::int32_t code : {3, -1}) {
+    auto b = bytes_;
+    patch<std::uint64_t>(b, 24, 0);
+    patch<std::int32_t>(b, section_offset(b, 5) + 20, code);
+    expect_reject(b, "router backend");
+  }
+}
+
+TEST_F(ArtifactReject, SectionSizeWrapsAroundTheFile) {
+  // A u64 GRPH size of 2^64 - 8 wraps offset + size back to 8 bytes
+  // before the section's own start; DCMP's offset and size are re-tiled
+  // from there so every later check still lines up, and the GRPH edge
+  // count is set to match the wrapped payload.  Without the wrap check
+  // the loader goes on to reserve 2^61 edges.
+  auto b = bytes_;
   patch<std::uint64_t>(b, 24, 0);
-  patch<std::uint32_t>(b, section_offset(b, 5) + 68, 7u);
-  expect_reject(b, "decomposition backend");
+  const std::uint64_t t = section_offset(b, 0);
+  const std::uint64_t s0 = section_size(b, 0);
+  const std::uint64_t s1 = section_size(b, 1);
+  const std::uint64_t wrapped = ~std::uint64_t{0} - 7;  // 2^64 - 8
+  patch<std::uint64_t>(b, kHeader + 0 * kEntry + 16, wrapped);
+  patch<std::uint64_t>(b, t + 8, (wrapped - 16) / 8);  // GRPH m
+  patch<std::uint64_t>(b, kHeader + 1 * kEntry + 8, t - 8);
+  patch<std::uint64_t>(b, kHeader + 1 * kEntry + 16, s0 + s1 + 8);
+  expect_reject(b, "wrapped section size");
 }
 
 TEST_F(ArtifactReject, MetaSizeWrong) {

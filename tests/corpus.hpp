@@ -4,8 +4,8 @@
 /// The seeded graph corpus shared across test suites.
 ///
 /// One registry instead of each suite hand-rolling topologies: the shard
-/// conformance grid, the fault-injection chaos grid, and the cross-backend
-/// decomposition harness (backend_diff_test) all draw from here, so "the
+/// conformance grid, the fault-injection chaos grid, and the Theorem 1
+/// contract harness (theorem1_contract_test) all draw from here, so "the
 /// expander", "the dumbbell", and friends mean the same bits everywhere.
 /// Generators are pure functions of their (family, size, seed) cell --
 /// calling make() twice yields bit-identical graphs, which is what lets
@@ -16,7 +16,7 @@
 ///     suites have always used (their golden pins depend on these exact
 ///     seeds; do not touch).
 ///   * default_corpus()   -- the family x size x seed grid the
-///     differential harness sweeps: expanders, dumbbells, grids,
+///     contract harness sweeps: expanders, dumbbells, grids,
 ///     power-law, SBM, ring-of-cliques, and an XDG1 round-trip fixture
 ///     that routes one entry through the binary loader (graph/io.hpp).
 
@@ -65,9 +65,8 @@ struct CorpusEntry {
   std::function<Graph()> make;
 };
 
-/// The differential-harness sweep.  Sizes are chosen so the full grid --
-/// two backends x four scheduler settings x verification -- stays a
-/// seconds-scale test; bench_expander's E10 covers the 100k point.
+/// The contract-harness sweep.  Sizes are chosen so the full grid --
+/// four scheduler settings x verification -- stays a seconds-scale test.
 inline std::vector<CorpusEntry> default_corpus() {
   std::vector<CorpusEntry> corpus;
   const auto add = [&](std::string family, std::string name,

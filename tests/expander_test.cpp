@@ -3,13 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <string>
 
 #include "expander/verify.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
 #include "graph/subgraph.hpp"
-#include "util/check.hpp"
 
 namespace xd::expander {
 namespace {
@@ -223,49 +221,6 @@ TEST(Decomposition, EpsilonKnobControlsCutBudget) {
       << "tight fraction " << rep_tight.cut_fraction;
   EXPECT_TRUE(rep_loose.cut_within_epsilon)
       << "loose fraction " << rep_loose.cut_fraction;
-}
-
-TEST(BackendSelection, ParseAndToStringRoundTrip) {
-  EXPECT_EQ(parse_decomposition_backend("nibble"), DecompositionBackend::kNibble);
-  EXPECT_EQ(parse_decomposition_backend("simple-parallel"),
-            DecompositionBackend::kSimpleParallel);
-  EXPECT_STREQ(to_string(DecompositionBackend::kNibble), "nibble");
-  EXPECT_STREQ(to_string(DecompositionBackend::kSimpleParallel),
-               "simple-parallel");
-  for (const char* name : {"nibble", "simple-parallel"}) {
-    EXPECT_STREQ(to_string(parse_decomposition_backend(name)), name);
-  }
-}
-
-TEST(BackendSelection, UnknownNameIsATypedError) {
-  EXPECT_THROW((void)parse_decomposition_backend("nibble2"), CheckError);
-  EXPECT_THROW((void)parse_decomposition_backend(""), CheckError);
-  try {
-    (void)parse_decomposition_backend("simple_parallel");  // underscore typo
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("simple_parallel"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(BackendSelection, DefaultIsNibbleAndResultEchoesTheChoice) {
-  DecompositionParams prm;
-  EXPECT_EQ(prm.backend, DecompositionBackend::kNibble);
-
-  Rng grng(12);
-  const Graph g = gen::planted_partition(100, 2, 0.3, 0.02, grng);
-  for (const auto backend :
-       {DecompositionBackend::kNibble, DecompositionBackend::kSimpleParallel}) {
-    prm.epsilon = 0.3;
-    prm.k = 1;
-    prm.backend = backend;
-    Rng rng(5);
-    congest::RoundLedger ledger;
-    const auto res = expander_decomposition(g, prm, rng, ledger);
-    EXPECT_EQ(res.backend, backend) << to_string(backend);
-    EXPECT_GT(res.phi_guarantee, 0.0) << to_string(backend);
-  }
 }
 
 }  // namespace

@@ -161,54 +161,6 @@ TEST(Golden, SchedulerRoundAccountingPins) {
   EXPECT_EQ(sched_ledger.rounds_for("ParallelNibble/select"), 44u);
 }
 
-TEST(Golden, SimpleParallelBackendPins) {
-  // Fixed-seed pins for the second decomposition backend (docs/
-  // decomposition.md), on the same graph and caller seed as
-  // SchedulerRoundAccountingPins so the two drivers' accounting is
-  // directly comparable: the cluster/certify/trim driver reaches the same
-  // four planted communities with Remove-2 cuts only (no Phase 2 exists
-  // to rip anything out), and its outputs -- pinned here down to the
-  // partition fingerprint -- are bit-identical at every scheduler thread
-  // count.
-  Rng grng(11);
-  const Graph g = gen::planted_partition(160, 4, 0.35, 0.01, grng);
-  const auto run = [&](int scheduler_threads, congest::RoundLedger& ledger) {
-    expander::DecompositionParams prm;
-    prm.epsilon = 0.3;
-    prm.k = 2;
-    prm.phi0_override = 0.05;
-    prm.scheduler_threads = scheduler_threads;
-    prm.backend = expander::DecompositionBackend::kSimpleParallel;
-    Rng rng(5);
-    return expander::expander_decomposition(g, prm, rng, ledger);
-  };
-
-  congest::RoundLedger seq_ledger;
-  const auto seq = run(0, seq_ledger);
-  EXPECT_EQ(seq.rounds, 16832u);
-  EXPECT_EQ(seq.epochs, 6u);
-  EXPECT_EQ(seq.num_components, 4u);
-  EXPECT_EQ(seq.sparse_cut_calls, 7u);
-  EXPECT_EQ(seq.removed_by[0], 0u);  // diameter probe skips every LDD call
-  EXPECT_EQ(seq.removed_by[1], 100u);
-  EXPECT_EQ(seq.removed_by[2], 0u);  // no Phase 2, never a rip-out
-  EXPECT_EQ(seq.guard_finalized, 0u);
-  EXPECT_EQ(seq_ledger.messages(), 232581u);
-  EXPECT_EQ(expander::partition_fingerprint(seq), 17102884042930750356ull);
-
-  for (const int threads : {1, 2, 8}) {
-    congest::RoundLedger ledger;
-    const auto sched = run(threads, ledger);
-    EXPECT_EQ(sched.component, seq.component);
-    EXPECT_EQ(sched.removed_edge, seq.removed_edge);
-    EXPECT_EQ(expander::partition_fingerprint(sched),
-              expander::partition_fingerprint(seq));
-    EXPECT_EQ(sched.rounds, 13485u);
-    EXPECT_EQ(sched.epochs, 6u);
-    EXPECT_EQ(ledger.messages(), 232581u);
-  }
-}
-
 TEST(Golden, SchedulerTriangleEnumerationPins) {
   // Same graph/seed as TriangleEnumerationMatchesSeedKernel, run under the
   // cluster scheduler at every pinned thread count: identical triangles,

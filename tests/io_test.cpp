@@ -130,6 +130,13 @@ TEST(BinaryEdgeList, MalformedInputsThrow) {
   const std::string out_of_range = tmp_path("out_of_range.xdg");
   write_raw(out_of_range, kBinaryGraphMagic, 3, 1, {{0, 7}});
   EXPECT_THROW((void)read_binary_edge_list_file(out_of_range), CheckError);
+
+  // m = 2^61 + 1 makes header + 8*m wrap to exactly this one-pair file's
+  // size; the check must catch the lie before anything is reserved.
+  const std::string wrapped_m = tmp_path("wrapped_m.xdg");
+  write_raw(wrapped_m, kBinaryGraphMagic, 4, (std::uint64_t{1} << 61) + 1,
+            {{0, 1}});
+  EXPECT_THROW((void)read_binary_edge_list_file(wrapped_m), CheckError);
 }
 
 TEST(BinaryEdgeList, ThreadCountDoesNotChangeResult) {

@@ -280,10 +280,9 @@ TEST(ShardWire, BufferRoundTrip) {
   }
 }
 
-// A version-1 frame -- 24-byte header, no sequence number or CRC -- must
-// still decode (reported as seq 0): prepared buffer dumps from before the
-// v2 format stay readable.
-TEST(ShardWire, DecodesLegacyV1Frames) {
+// Version 1 (24-byte header, no sequence number or CRC) is retired: a
+// hand-built v1 frame is a typed decode error, never a silent accept.
+TEST(ShardWire, RejectsRetiredV1Frames) {
   detail::StagingBuffer buf;
   buf.push(5, 2, Message{4, 11, 12});
   std::vector<unsigned char> v1;
@@ -298,7 +297,7 @@ TEST(ShardWire, DecodesLegacyV1Frames) {
     }
   };
   put32(kShardBufferMagic);
-  put32(kShardBufferLegacyVersion);
+  put32(1);  // version 1
   put32(1);  // sender
   put32(2);  // dest
   put64(buf.size());
@@ -311,15 +310,15 @@ TEST(ShardWire, DecodesLegacyV1Frames) {
   }
   std::uint32_t sender = 0;
   std::uint32_t dest = 0;
-  std::uint64_t seq = 99;
   detail::StagingBuffer back;
-  decode_shard_buffer(v1, &sender, &dest, &back, &seq);
-  EXPECT_EQ(sender, 1u);
-  EXPECT_EQ(dest, 2u);
-  EXPECT_EQ(seq, 0u);
-  ASSERT_EQ(back.size(), buf.size());
-  EXPECT_EQ(back.slot[0], buf.slot[0]);
-  EXPECT_EQ(back.msg[0], buf.msg[0]);
+  EXPECT_FALSE(try_decode_shard_buffer(v1, &sender, &dest, &back));
+  try {
+    decode_shard_buffer(v1, &sender, &dest, &back);
+    FAIL() << "v1 frame decoded";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 // Any single flipped bit in a v2 frame -- header or payload -- must fail

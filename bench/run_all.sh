@@ -27,7 +27,7 @@
 # A/B and combined ratio reported alongside -- on generated graphs, or on
 # a binary edge list passed via --input FILE.xdg, optionally --reorder'ed
 # by degree) plus bench_expander and bench_kernel with XD_KERNEL_LARGE=1
-# (the sharded-vs-shared delivery A/B on the 8M-edge graph, filtered to the
+# (the S = 8 vs S = 1 delivery A/B on the 8M-edge graph, filtered to the
 # BM_Deliver* family), with results defaulting to bench/results/.
 # XD_LARGE_SCALE (or --large-scale) overrides the 1M default scale.
 
@@ -177,7 +177,8 @@ if [[ ${#MISSING[@]} -gt 0 ]]; then
   exit 1
 fi
 
-# Delivery acceptance summary: flat engine vs seed nested path at 100k.
+# Delivery acceptance summary: the engine's plane at S = 1 vs the seed
+# nested path at 100k.
 KERNEL_JSON="$OUT_DIR/BENCH_kernel.json"
 if [[ -f "$KERNEL_JSON" ]]; then
   python3 - "$KERNEL_JSON" "$OUT_DIR/BENCH_kernel_summary.json" <<'PY'
@@ -197,10 +198,13 @@ if flat and seed:
     summary["speedup"] = flat / seed
     summary["meets_2x_bar"] = flat >= 2.0 * seed
 
-# Sharded-vs-shared delivery A/B (the shard-plane acceptance bar: >= 2x at
-# 100k vertices with 8 shards) plus the per-shard buffer/scatter phase
-# breakdown from BM_DeliverSharded's counters.  The Release CI smoke fails
-# when this block is missing.  hardware_threads records how many cores the
+# Sharded delivery A/B (the shard-plane acceptance bar: >= 2x at 100k
+# vertices with 8 shards) plus the per-shard buffer/scatter phase breakdown
+# from BM_DeliverSharded's counters.  The baseline is BM_DeliverFlat, the
+# same plane at S = 1; its keys keep the historical "shared" names
+# (shared_items_per_second_median, speedup_vs_shared) that CI and earlier
+# trajectory points read.  The Release CI smoke fails when this block is
+# missing.  hardware_threads records how many cores the
 # parallel scatter phases had: on a single-core host both sides serialize
 # and the 100k edge reduces to the plane's cache blocking and skipped
 # passes (load-dependent; the "large" 8M-edge block shows the blocking

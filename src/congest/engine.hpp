@@ -19,10 +19,11 @@
 ///
 /// The split mirrors the stage/exchange/fold shape every protocol in this
 /// library already had, and is what makes the opt-in thread-parallel
-/// executor (Network::set_threads) deterministic: phases are data-parallel
-/// over vertices, the barrier between them is the exchange itself, and
-/// delivery order is canonicalized by directed slot before inboxes are
-/// built, so results are bit-identical across thread counts.  See
+/// executor (Network::set_threads over set_shards shards) deterministic:
+/// phases are data-parallel over vertex shards, the barrier between them is
+/// the exchange itself, and delivery order is canonicalized by directed
+/// slot before inboxes are built, so results are bit-identical across
+/// shard and thread counts.  See
 /// docs/engine.md for the full determinism contract.  One level up,
 /// scheduler.hpp applies the same contract across whole networks: disjoint
 /// components of a decomposition level run as concurrent work items, each
@@ -64,17 +65,13 @@ struct StagingBuffer {
     from.push_back(f);
     msg.push_back(m);
   }
-  void append(const StagingBuffer& other) {
-    slot.insert(slot.end(), other.slot.begin(), other.slot.end());
-    from.insert(from.end(), other.from.begin(), other.from.end());
-    msg.insert(msg.end(), other.msg.begin(), other.msg.end());
-  }
 };
 
 }  // namespace detail
 
-/// Per-vertex staging handle passed to VertexProgram::on_send.  Writes go to
-/// an executor-owned buffer (one per worker thread), so staging is safe and
+/// Per-vertex staging handle passed to VertexProgram::on_send.  Writes go
+/// straight into the sender shard's aggregation buffers (shard_plane.hpp);
+/// concurrent workers run disjoint shards, so staging is safe and
 /// allocation-free on the hot path.
 class Outbox {
  public:
@@ -93,14 +90,10 @@ class Outbox {
 
  private:
   friend class Network;
-  Outbox(Network* net, detail::StagingBuffer* buf) : net_(net), buf_(buf) {}
+  explicit Outbox(Network* net) : net_(net) {}
 
   Network* net_;
-  detail::StagingBuffer* buf_;
   VertexId vertex_ = 0;
-  /// Sender shard when the executor runs the sharded plane (>= 0): sends
-  /// route straight into that shard's aggregation buffers instead of buf_.
-  int shard_ = -1;
 };
 
 /// One round-synchronous protocol step, run by Network::run_round.

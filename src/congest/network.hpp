@@ -15,31 +15,27 @@
 ///
 /// Or, preferred for whole-protocol steps: implement a VertexProgram
 /// (engine.hpp) and call run_round(); the engine runs the send phase over
-/// all vertices, delivers, then runs the receive phase -- optionally on
-/// several threads (set_threads) with bit-identical results.  The phase
-/// threads use the same pool idiom as the component-level epoch scheduler
+/// all vertices, delivers, then runs the receive phase.  The phase threads
+/// use the same pool idiom as the component-level epoch scheduler
 /// (scheduler.hpp), which parallelizes *across* networks of disjoint
-/// components; round charges for that case are documented in docs/rounds.md.
+/// components; round charges for that case are documented in
+/// docs/rounds.md.
 ///
-/// Delivery is flat: staged messages are canonicalized by directed slot
-/// (counting-sort keys), congestion is read off the sorted runs, and the
-/// inboxes are one contiguous Envelope arena plus a CSR offset array --
-/// zero per-vertex allocations per round.  inbox(v) is a span into the
-/// arena, ordered by (sender, slot); this order is deterministic and
-/// independent of staging interleaving, which is what makes the parallel
-/// executor exact.
+/// Delivery has one path, the message plane (shard_plane.hpp): the vertex
+/// set is split into S contiguous shards (S = 1 by default, set_shards),
+/// each sender shard stages into S per-destination aggregation buffers,
+/// and delivery canonicalizes each buffer by directed slot, reads
+/// congestion off the same-slot runs, and scatters into one flat inbox
+/// arena (a slice per shard) plus one CSR offset array -- zero per-vertex
+/// allocations per round.  inbox(v) is a span ordered by (sender, slot);
+/// this order is deterministic and independent of S, of the worker count
+/// (set_threads), and of staging interleaving across shards, which is what
+/// makes the parallel executor exact.  The XD_SHARDS environment variable
+/// sets the construction default (docs/sharding.md).
 ///
 /// Sending over a self-loop slot is rejected: loops are local state, not
 /// channels.  Messages are validated to travel only over edges of the graph
 /// (that *is* the CONGEST model -- no telepathy).
-///
-/// set_shards(S > 1) switches delivery onto the sharded message plane
-/// (shard_plane.hpp): contiguous vertex shards stage into S x S
-/// per-destination aggregation buffers and delivery becomes a bulk buffer
-/// exchange plus per-shard scatter -- results, delivery order, and round
-/// charges are bit-identical to the shared arena at any (shards x threads)
-/// combination.  The XD_SHARDS environment variable sets the construction
-/// default (docs/sharding.md).
 
 #include <atomic>
 #include <cstdint>
@@ -60,8 +56,8 @@ namespace xd::congest {
 /// any CLI flag that feeds set_shards).  Accepts a base-10 integer with
 /// optional surrounding whitespace; rejects empty strings, garbage,
 /// trailing junk ("4x"), zero, negatives, and absurd values (> 2^20) with
-/// a CheckError -- a mistyped shard count must never silently run
-/// unsharded.
+/// a CheckError -- a mistyped shard count must never silently fall back
+/// to one shard.
 int parse_shard_count(const char* text);
 
 /// Round-synchronous message-passing network over a fixed topology.
@@ -103,18 +99,13 @@ class Network {
   void tick(std::uint64_t rounds, std::string_view reason);
 
   /// Messages delivered to v in the last exchange: a span into the flat
-  /// arena (or, sharded, into v's shard's arena -- same contents, same
-  /// order), ordered by (sender, sender slot).
+  /// inbox arena, ordered by (sender, sender slot) at every shard count.
   [[nodiscard]] std::span<const Envelope> inbox(VertexId v) const {
-    if (plane_.active()) return plane_.inbox(v, inbox_offsets_);
-    return {arena_.data() + inbox_offsets_[v],
-            inbox_offsets_[v + 1] - inbox_offsets_[v]};
+    return plane_.inbox(v);
   }
 
   /// Total messages staged for the pending exchange (diagnostics).
-  [[nodiscard]] std::size_t staged() const {
-    return outbox_.size() + plane_.staged();
-  }
+  [[nodiscard]] std::size_t staged() const { return plane_.staged(); }
 
   // ---------------------------------------------------------- round engine
 
@@ -127,22 +118,23 @@ class Network {
   std::uint64_t run_rounds(VertexProgram& program, int rounds,
                            std::string_view reason);
 
-  /// Opt-in thread-parallel executor for run_round phases (default 1 =
-  /// serial).  Results are bit-identical for every thread count: phases are
-  /// data-parallel over vertices and delivery order is canonical.
+  /// Worker threads over shards for run_round phases and delivery (default
+  /// 1 = serial).  Shards are the partition unit, so at most shards()
+  /// workers run: at the default S = 1 a round runs serially whatever the
+  /// thread count.  Results are bit-identical for every thread count.
   void set_threads(int threads);
   [[nodiscard]] int threads() const { return threads_; }
 
-  /// Opt-in sharded message plane: S contiguous vertex shards exchanging
-  /// S x S aggregation buffers (shard_plane.hpp).  S = 1 restores the
-  /// shared-arena path; every S is bit-identical to it.  Rejected while
+  /// Split the message plane into S contiguous vertex shards exchanging
+  /// S x S aggregation buffers (shard_plane.hpp; default S = 1).  Every S
+  /// delivers the same inboxes and charges the same rounds.  Rejected while
   /// messages are staged (the pending traffic would be orphaned).  The
-  /// XD_SHARDS environment variable (> 1) sets the construction default.
+  /// XD_SHARDS environment variable sets the construction default.
   void set_shards(int shards);
   [[nodiscard]] int shards() const { return plane_.shards(); }
 
-  /// Totals and per-shard buffer/scatter timings of the last sharded
-  /// delivery (bench_kernel's breakdown; empty stats while unsharded).
+  /// Totals and per-shard buffer/scatter timings of the last delivery
+  /// (bench_kernel's breakdown; one shard entry at S = 1).
   [[nodiscard]] const ShardDeliveryStats& shard_delivery_stats() const {
     return plane_.last_delivery();
   }
@@ -154,37 +146,9 @@ class Network {
   }
 
  private:
-  friend class Outbox;
-
-  /// Validates and stages one message into `buf`.
-  void stage(detail::StagingBuffer& buf, VertexId from, std::uint32_t slot,
-             const Message& msg);
-  void stage_to(detail::StagingBuffer& buf, VertexId from, VertexId to,
-                const Message& msg);
-  /// Sharded send-phase staging: same validation, routed straight into the
-  /// sender shard's aggregation buffers (safe across distinct shards).
-  void stage_sharded(int sender_shard, VertexId from, std::uint32_t slot,
-                     const Message& msg);
-  void stage_to_sharded(int sender_shard, VertexId from, VertexId to,
-                        const Message& msg);
-
-  /// Canonicalize + deliver outbox_ into the arena; charge and return
-  /// rounds.
+  /// Deliver the staged messages; charge and return rounds.
   std::uint64_t do_exchange(std::string_view reason, bool has_override,
                             std::uint64_t rounds_override);
-  /// Delivery via the S x S aggregation-buffer exchange (plane_ active).
-  std::uint64_t do_exchange_sharded(std::string_view reason, bool has_override,
-                                    std::uint64_t rounds_override);
-  /// Shared charging tail of both delivery paths: message accounting, the
-  /// congestion-vs-override check, and the round charge.
-  std::uint64_t finish_exchange(std::string_view reason,
-                                std::size_t staged_count,
-                                std::uint64_t max_congestion, bool has_override,
-                                std::uint64_t rounds_override);
-  /// run_round over the sharded plane: shards are the partition unit for
-  /// both phases, so results are bit-identical at any worker count.
-  std::uint64_t run_round_sharded(VertexProgram& program,
-                                  std::string_view reason);
 
   const Graph* graph_;
   RoundLedger* ledger_;
@@ -192,21 +156,6 @@ class Network {
   int threads_ = 1;
   /// Relaxed atomic: bumped from parallel send phases, read for diagnostics.
   std::atomic<std::uint64_t> slot_lookup_probes_{0};
-
-  detail::StagingBuffer outbox_;
-  /// Flat inbox arena + CSR offsets (size n+1); rebuilt each delivery with
-  /// no per-vertex allocations.
-  std::vector<Envelope> arena_;
-  std::vector<std::uint32_t> inbox_offsets_;
-  /// Scratch reused across deliveries.  slot_counts_ (size volume, lazily
-  /// grown) is kept all-zeros between exchanges; the dense delivery path
-  /// uses it for per-slot counts, then cursors, then bulk-zeroes it.
-  std::vector<std::uint64_t> sort_keys_;
-  std::vector<std::uint32_t> cursor_;
-  std::vector<std::uint32_t> slot_counts_;
-  /// Per-worker staging buffers for the parallel executor.
-  std::vector<detail::StagingBuffer> worker_bufs_;
-  /// Sharded delivery plane; inactive (shared arena) until set_shards(> 1).
   ShardPlane plane_;
 };
 

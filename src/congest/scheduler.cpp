@@ -121,14 +121,20 @@ void EpochScheduler::run_forked(
   root.join();
 }
 
-void EpochScheduler::run_partitioned(
+void EpochScheduler::run_epoch(
+    int threads, RoundLedger& root, std::size_t n,
+    const std::function<void(std::size_t, RoundLedger&)>& fn) {
+  if (threads >= 1) {
+    EpochScheduler(threads).run_forked(root, n, fn);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) fn(i, root);
+}
+
+void EpochScheduler::run_partitioned_pool(
     std::size_t n, int workers,
     const std::function<void(int, std::size_t, std::size_t)>& body) {
   XD_CHECK_MSG(workers >= 1, "worker count must be >= 1");
-  if (workers == 1) {
-    body(0, 0, n);
-    return;
-  }
   spawn_join(workers, [&](int w) {
     const std::size_t lo =
         n * static_cast<std::size_t>(w) / static_cast<std::size_t>(workers);

@@ -67,16 +67,38 @@ class EpochScheduler {
       RoundLedger& root, std::size_t n,
       const std::function<void(std::size_t, RoundLedger&)>& fn) const;
 
+  /// One epoch of a driver that runs either mode: with `threads` >= 1 the
+  /// items run concurrently via run_forked on a pool of that many threads
+  /// (rounds advance by the epoch max); otherwise they run sequentially in
+  /// index order, each charging `root` directly (rounds sum).  The
+  /// decomposition driver and the triangle enumerator's per-cluster stage
+  /// both step their epochs through here.
+  static void run_epoch(
+      int threads, RoundLedger& root, std::size_t n,
+      const std::function<void(std::size_t, RoundLedger&)>& fn);
+
   /// Static contiguous partition: body(worker, lo, hi) over [0, n) split
   /// into `workers` ranges.  This is the round engine's phase executor
-  /// (Network::run_round): per-worker ranges with per-worker buffers,
-  /// merged in worker order, keep delivery canonical.  Exposed here so the
-  /// engine and the scheduler share one pool idiom.
-  static void run_partitioned(
+  /// (Network::run_round and the message plane's delivery phases, over
+  /// shards).  Exposed here so the engine and the scheduler share one pool
+  /// idiom.  One worker runs body inline, with no type-erased call: a
+  /// serial round is a few microseconds, and the engine runs four phases
+  /// per round.
+  template <class Body>
+  static void run_partitioned(std::size_t n, int workers, Body&& body) {
+    if (workers == 1) {
+      body(0, std::size_t{0}, n);
+      return;
+    }
+    run_partitioned_pool(n, workers, body);
+  }
+
+ private:
+  /// run_partitioned with `workers` != 1 threads (< 1 is rejected).
+  static void run_partitioned_pool(
       std::size_t n, int workers,
       const std::function<void(int, std::size_t, std::size_t)>& body);
 
- private:
   int threads_ = 1;
 };
 

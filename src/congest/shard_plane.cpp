@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <numeric>
 #include <sstream>
 #include <string>
 
@@ -183,49 +184,23 @@ void ShardPlane::configure(const Graph& g, int shards) {
   }
   bufs_.assign(s_sz * s_sz, {});
   tos_.assign(s_sz * s_sz, {});
-  stage_sorted_.assign(s_sz * s_sz, 1);
-  stage_prev_.assign(s_sz * s_sz, 0);
-  stage_run_.assign(s_sz * s_sz, 0);
-  stage_cong_.assign(s_sz * s_sz, 0);
   order_.assign(s_sz * s_sz, {});
   buf_congestion_.assign(s_sz * s_sz, 0);
-  arena_.assign(s_sz, {});
   counts_.assign(s_sz, {});
   key_scratch_.assign(s_sz, {});
   shard_msg_base_.assign(s_sz + 1, 0);
+  offsets_.assign(n + 1, 0);
   exchange_seq_ = 0;
   stats_ = {};
   stats_.shard.resize(s_sz);
 }
 
-void ShardPlane::stage(int sender_shard, std::uint32_t global_slot,
-                       VertexId from, const Message& msg) {
+void ShardPlane::stage_routed(std::uint32_t global_slot, VertexId from,
+                              const Message& msg) {
   const VertexId to = graph_->slot_target(global_slot);
-  const std::size_t idx = index(sender_shard, static_cast<int>(vshard_[to]));
-  detail::StagingBuffer& b = bufs_[idx];
-  // Buffer metadata rides along with the fill (the sender resolves the
-  // receiver to pick this buffer anyway): the record target, and the slot
-  // run / sortedness bookkeeping that lets delivery skip its detection
-  // pass.  In a still-sorted buffer the maximal slot run IS the buffer's
-  // per-slot congestion; once a slot regresses the buffer is marked
-  // unsorted and phase A recomputes congestion after its key sort.
-  if (b.size() == 0) {
-    stage_sorted_[idx] = 1;
-    stage_run_[idx] = 1;
-    stage_cong_[idx] = 1;
-  } else if (stage_sorted_[idx]) {
-    if (global_slot < stage_prev_[idx]) {
-      stage_sorted_[idx] = 0;
-    } else {
-      stage_run_[idx] = global_slot == stage_prev_[idx] ? stage_run_[idx] + 1
-                                                        : 1;
-      if (stage_run_[idx] > stage_cong_[idx]) {
-        stage_cong_[idx] = stage_run_[idx];
-      }
-    }
-  }
-  stage_prev_[idx] = global_slot;
-  b.push(global_slot, from, msg);
+  const std::size_t idx = index(static_cast<int>(vshard_[from]),
+                                static_cast<int>(vshard_[to]));
+  bufs_[idx].push(global_slot, from, msg);
   tos_[idx].push_back(to);
 }
 
@@ -325,11 +300,11 @@ void ShardPlane::wire_exchange() {
                        << s << ") still missing after " << attempt
                        << " attempts (seq " << seq << ")");
     }
-    // Commit the column: the decoded buffers replace the staging originals,
-    // record targets are rebuilt from the graph (with the shard invariant
-    // re-checked defensively), and the stage-time canonicalization metadata
-    // is invalidated so phase A's key sort recomputes order and congestion
-    // from the wire content -- identical content, identical results.
+    // Commit the column: the decoded buffers replace the staging originals
+    // and record targets are rebuilt from the graph (with the shard
+    // invariant re-checked defensively); phase A then reads order and
+    // congestion off the wire content -- identical content, identical
+    // results.
     for (int q = 0; q < shards_; ++q) {
       const std::size_t idx = index(q, s);
       bufs_[idx] = std::move(col[static_cast<std::size_t>(q)]);
@@ -346,122 +321,176 @@ void ShardPlane::wire_exchange() {
                                                     << ", expected " << s);
         tos.push_back(to);
       }
-      stage_sorted_[idx] = 0;
     }
   }
 }
+
+namespace {
+
+/// Calls body(target), where target(i) is the receiver of the buffer's
+/// record i relative to its dest shard's first vertex `lo`: read off the
+/// graph through the record's slot when `tos` is null (S = 1, where staging
+/// caches nothing), else off the stage-time target cache.  Each branch is
+/// its own instantiation, so the per-record loops stay branch-free.
+template <class Body>
+void with_target(const Graph& g, const detail::StagingBuffer& b,
+                 const std::uint32_t* tos, std::size_t lo, Body&& body) {
+  if (tos == nullptr) {
+    body([&g, slot = b.slot.data()](std::size_t i) {
+      return g.slot_target(slot[i]);
+    });
+  } else {
+    body([tos, base = static_cast<std::uint32_t>(lo)](std::size_t i) {
+      return tos[i] - base;
+    });
+  }
+}
+
+/// Phase A over one buffer: bumps counts[target(i)] for every record and
+/// returns the buffer's congestion (its longest same-slot run).  While the
+/// staged slots keep ascending -- the common case, since protocols stage
+/// vertex by vertex -- one fused pass does both and `ord` stays empty;
+/// after the first slot regression the counts are finished and a stable
+/// (slot, index) key sort records the canonical visit order in `ord` and
+/// recomputes congestion off the sorted runs.
+template <class Target>
+std::uint64_t count_buffer(const detail::StagingBuffer& b, Target target,
+                           std::uint32_t* counts,
+                           std::vector<std::uint64_t>& keys,
+                           std::vector<std::uint32_t>& ord) {
+  const std::size_t m = b.size();
+  const std::uint32_t* slot = b.slot.data();
+  ord.clear();
+  std::uint64_t cong = 0;
+  std::uint64_t run = 0;
+  std::uint32_t prev = 0;
+  std::size_t i = 0;
+  for (; i < m; ++i) {
+    const std::uint32_t s = slot[i];
+    if (s < prev) break;
+    run = i > 0 && s == prev ? run + 1 : 1;
+    cong = std::max(cong, run);
+    prev = s;
+    ++counts[target(i)];
+  }
+  if (i == m) return cong;
+  for (; i < m; ++i) ++counts[target(i)];
+  keys.resize(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    keys[j] = (std::uint64_t{slot[j]} << 32) | static_cast<std::uint32_t>(j);
+  }
+  std::sort(keys.begin(), keys.end());
+  ord.resize(m);
+  cong = 0;
+  for (std::size_t j = 0; j < m; ++j) {
+    run = j > 0 && (keys[j] >> 32) == (keys[j - 1] >> 32) ? run + 1 : 1;
+    cong = std::max(cong, run);
+    ord[j] = static_cast<std::uint32_t>(keys[j] & 0xffffffffu);
+  }
+  return cong;
+}
+
+/// Phase B over one buffer: writes each record's envelope at its
+/// receiver's cursor, visiting records in `ord` order (staging order when
+/// empty).
+template <class Target>
+void scatter_buffer(const detail::StagingBuffer& b,
+                    const std::vector<std::uint32_t>& ord, Target target,
+                    std::uint32_t* cursor, Envelope* arena,
+                    std::size_t arena_size) {
+  const std::size_t m = b.size();
+  const VertexId* from = b.from.data();
+  const Message* msg = b.msg.data();
+  // Hint the write-allocate for an upcoming destination; the cursor may
+  // advance a little before we get there, but the line it points at now is
+  // almost always the line we will touch.  A tail-heavy receiver's cursor
+  // can already sit at the arena end; clamp so the hint address stays
+  // inside (or one past) the allocation.  (Spelled out in each loop: GCC
+  // drops a prefetch wrapped in a lambda as a side-effect-free call.)
+  constexpr std::size_t kAhead = 12;
+  if (ord.empty()) {
+    for (std::size_t i = 0; i < m; ++i) {
+      if (i + kAhead < m) {
+        const std::size_t ahead = cursor[target(i + kAhead)];
+        __builtin_prefetch(arena + std::min(ahead, arena_size), 1, 0);
+      }
+      arena[cursor[target(i)]++] = Envelope{from[i], msg[i]};
+    }
+  } else {
+    const std::uint32_t* order = ord.data();
+    for (std::size_t i = 0; i < m; ++i) {
+      if (i + kAhead < m) {
+        const std::size_t ahead = cursor[target(order[i + kAhead])];
+        __builtin_prefetch(arena + std::min(ahead, arena_size), 1, 0);
+      }
+      const std::size_t idx = order[i];
+      arena[cursor[target(idx)]++] = Envelope{from[idx], msg[idx]};
+    }
+  }
+}
+
+}  // namespace
 
 void ShardPlane::phase_count(int s) {
   const auto t0 = std::chrono::steady_clock::now();
   const auto [lo, hi] = shard_range(s);
   auto& counts = counts_[static_cast<std::size_t>(s)];
+  auto& keys = key_scratch_[static_cast<std::size_t>(s)];
   counts.assign(hi - lo, 0);
   std::uint64_t total = 0;
   for (int q = 0; q < shards_; ++q) {
     const std::size_t idx = index(q, s);
     const detail::StagingBuffer& b = bufs_[idx];
-    const std::size_t m = b.size();
-    std::uint64_t cong = 0;
-    auto& ord = order_[idx];
-    ord.clear();
-    if (m > 0) {
-      // Canonical per-buffer order is ascending (slot, staging index) --
-      // the same rule as the shared arena.  stage() tracked sortedness and
-      // the maximal slot run as the buffer filled, so the common case
-      // (vertex-ascending staging) costs nothing here; an out-of-order
-      // buffer pays a stable (slot, index) key sort that also recomputes
-      // its congestion off the sorted runs.
-      if (stage_sorted_[idx]) {
-        cong = stage_cong_[idx];
-      } else {
-        auto& keys = key_scratch_[static_cast<std::size_t>(s)];
-        keys.resize(m);
-        for (std::size_t j = 0; j < m; ++j) {
-          keys[j] =
-              (std::uint64_t{b.slot[j]} << 32) | static_cast<std::uint32_t>(j);
-        }
-        std::sort(keys.begin(), keys.end());
-        ord.resize(m);
-        std::uint64_t run = 0;
-        for (std::size_t j = 0; j < m; ++j) {
-          run = j > 0 && (keys[j] >> 32) == (keys[j - 1] >> 32) ? run + 1 : 1;
-          cong = std::max(cong, run);
-          ord[j] = static_cast<std::uint32_t>(keys[j] & 0xffffffffu);
-        }
-      }
-      // Receiver counts stream the stage-time target cache -- no random
-      // slot -> receiver lookups on the delivery path.
-      const std::uint32_t* tos = tos_[idx].data();
-      for (std::size_t i = 0; i < m; ++i) ++counts[tos[i] - lo];
-      total += m;
-    }
-    buf_congestion_[idx] = cong;
+    with_target(*graph_, b, shards_ > 1 ? tos_[idx].data() : nullptr, lo,
+                [&](auto target) {
+                  buf_congestion_[idx] = count_buffer(
+                      b, target, counts.data(), keys, order_[idx]);
+                });
+    total += b.size();
   }
   auto& st = stats_.shard[static_cast<std::size_t>(s)];
   st.received = total;
   st.buffer_ms = ms_since(t0);
 }
 
-void ShardPlane::phase_scatter(int s,
-                               std::vector<std::uint32_t>& inbox_offsets) {
+void ShardPlane::phase_scatter(int s) {
   const auto t0 = std::chrono::steady_clock::now();
   const auto [lo, hi] = shard_range(s);
   auto& counts = counts_[static_cast<std::size_t>(s)];
-  auto& arena = arena_[static_cast<std::size_t>(s)];
-  arena.resize(stats_.shard[static_cast<std::size_t>(s)].received);
   // Publish this shard's slice of the global CSR offsets (vertices [lo, hi)
-  // only -- offsets[n] is written serially by deliver(), and neighboring
+  // only -- offsets_[n] is written serially by deliver(), and neighboring
   // shards' slices are disjoint, so no write is shared across workers) and
-  // repurpose counts as arena-local scatter cursors.
-  const std::uint32_t base = shard_msg_base_[static_cast<std::size_t>(s)];
-  std::uint32_t running = 0;
-  for (std::size_t v = lo; v < hi; ++v) {
-    const std::uint32_t c = counts[v - lo];
-    inbox_offsets[v] = base + running;
-    counts[v - lo] = running;
-    running += c;
-  }
+  // repurpose counts as scatter cursors into this shard's slice of the
+  // arena.
+  const auto first = offsets_.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::exclusive_scan(counts.begin(), counts.end(), first,
+                      shard_msg_base_[static_cast<std::size_t>(s)]);
+  std::copy(first, first + static_cast<std::ptrdiff_t>(hi - lo),
+            counts.begin());
   // Scatter the S incoming buffers in sender-shard order: sender shards
   // partition the directed-slot space monotonically, so this visits each
   // receiver's messages in globally ascending slot order -- the canonical
-  // delivery order of the shared-arena path.
+  // delivery order.
   for (int q = 0; q < shards_; ++q) {
-    const std::size_t bidx = index(q, s);
-    const detail::StagingBuffer& b = bufs_[bidx];
-    const auto& ord = order_[bidx];
-    const std::uint32_t* tos = tos_[bidx].data();
-    const std::size_t m = b.size();
-    constexpr std::size_t kAhead = 12;
-    if (ord.empty()) {
-      for (std::size_t i = 0; i < m; ++i) {
-        if (i + kAhead < m) {
-          __builtin_prefetch(arena.data() + counts[tos[i + kAhead] - lo], 1, 0);
-        }
-        arena[counts[tos[i] - lo]++] = Envelope{b.from[i], b.msg[i]};
-      }
-    } else {
-      for (std::size_t i = 0; i < m; ++i) {
-        if (i + kAhead < m) {
-          __builtin_prefetch(arena.data() + counts[tos[ord[i + kAhead]] - lo],
-                             1, 0);
-        }
-        const std::size_t idx = ord[i];
-        arena[counts[tos[idx] - lo]++] = Envelope{b.from[idx], b.msg[idx]};
-      }
-    }
+    const std::size_t idx = index(q, s);
+    const detail::StagingBuffer& b = bufs_[idx];
+    with_target(*graph_, b, shards_ > 1 ? tos_[idx].data() : nullptr, lo,
+                [&](auto target) {
+                  scatter_buffer(b, order_[idx], target, counts.data(),
+                                 arena_.data(), arena_.size());
+                });
   }
   stats_.shard[static_cast<std::size_t>(s)].scatter_ms = ms_since(t0);
 }
 
-void ShardPlane::deliver(std::vector<std::uint32_t>& inbox_offsets,
-                         int workers) {
+void ShardPlane::deliver(int workers) {
   const auto S = static_cast<std::size_t>(shards_);
   const std::size_t n = graph_->num_vertices();
   const int w = clamp_workers(workers, shards_);
 
   // Fault-armed runs route every buffer through the wire frame path first
   // (serial, deterministic); disarmed runs pay one relaxed load here and
-  // exchange buffers in memory as before.
+  // exchange buffers in memory.  A 1 x 1 plane has no wire to cross.
   if (shards_ > 1 &&
       FaultPlane::instance().armed(FaultCategory::kShard)) {
     wire_exchange();
@@ -469,13 +498,12 @@ void ShardPlane::deliver(std::vector<std::uint32_t>& inbox_offsets,
 
   // Phase A, parallel over destination shards: canonicalize buffers, read
   // congestion, count receivers.  All writes are per-dest-shard-local.
-  EpochScheduler::run_partitioned(S, w,
-                                  [&](int /*w*/, std::size_t lo,
-                                      std::size_t hi) {
-                                    for (std::size_t s = lo; s < hi; ++s) {
-                                      phase_count(static_cast<int>(s));
-                                    }
-                                  });
+  EpochScheduler::run_partitioned(
+      S, w, [&](int /*w*/, std::size_t lo, std::size_t hi) {
+        for (std::size_t s = lo; s < hi; ++s) {
+          phase_count(static_cast<int>(s));
+        }
+      });
 
   // Serial barrier: shard totals -> global arena base offsets, buffer
   // congestion -> global max.  Exact because every directed slot lives in
@@ -494,19 +522,18 @@ void ShardPlane::deliver(std::vector<std::uint32_t>& inbox_offsets,
     stats_.max_congestion = std::max(stats_.max_congestion, c);
   }
   stats_.staged = total_staged;
-  inbox_offsets[n] = shard_msg_base_[S];
+  offsets_[n] = shard_msg_base_[S];
+  arena_.resize(total_staged);
 
-  // Phase B, parallel over destination shards: publish offsets and scatter.
+  // Phase B, parallel over destination shards: publish offsets and scatter
+  // into disjoint slices of the arena.
   EpochScheduler::run_partitioned(
       S, w, [&](int /*w*/, std::size_t lo, std::size_t hi) {
         for (std::size_t s = lo; s < hi; ++s) {
-          phase_scatter(static_cast<int>(s), inbox_offsets);
+          phase_scatter(static_cast<int>(s));
         }
       });
 
-  // Clearing a buffer resets its stage-time metadata lazily: stage()
-  // reinitializes the sortedness/run tracking on the first push into an
-  // empty buffer.
   for (auto& b : bufs_) b.clear();
   for (auto& t : tos_) t.clear();
 }

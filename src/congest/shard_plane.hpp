@@ -1,17 +1,17 @@
 #pragma once
 
 /// \file shard_plane.hpp
-/// Sharded delivery plane for the round engine: aggregate / exchange /
-/// deaggregate.
+/// The round engine's delivery plane: aggregate / exchange / deaggregate.
 ///
-/// `Network::set_shards(S)` splits the vertex set into S contiguous shards
-/// (worker threads today; the buffer wire format below is exactly what a
-/// process or socket boundary would ship).  Each sender shard stages its
-/// messages into S per-destination-shard *aggregation buffers* -- packed
-/// `(slot, from, msg)` records, canonicalized to ascending directed slot
-/// with ties in staging order -- and delivery becomes an S x S bulk buffer
-/// exchange followed by a per-shard local scatter into that shard's inbox
-/// arena.  No shared staging vector, no global sort.
+/// Every Network delivers through one ShardPlane.  `Network::set_shards(S)`
+/// splits the vertex set into S contiguous shards (worker threads today;
+/// the buffer wire format below is exactly what a process or socket
+/// boundary would ship); the default is S = 1, a 1 x 1 plane.  Each sender
+/// shard stages its messages into S per-destination-shard *aggregation
+/// buffers* -- packed `(slot, from, msg)` records -- and delivery becomes
+/// an S x S bulk buffer exchange followed by a per-shard local scatter into
+/// that shard's slice of the inbox arena.  Each buffer is canonicalized to
+/// ascending directed slot with ties in staging order; no global sort.
 ///
 /// The shard-invariance argument (docs/sharding.md in full): directed slots
 /// are grouped by sender vertex and shards own contiguous vertex ranges, so
@@ -20,11 +20,11 @@
 ///       exact, and
 ///   (b) scanning a receiver shard's S incoming buffers in sender-shard
 ///       order visits each receiver's messages in ascending directed-slot
-///       order -- exactly the canonical delivery order of the shared-arena
-///       path.
-/// S = 1 bypasses the plane entirely, and every S > 1 reproduces the
-/// shared-arena results bit-for-bit at any worker count (pinned by
-/// tests/shard_test.cpp and the *_sharded golden CTest variants).
+///       order -- the canonical delivery order, whatever S is.
+/// Every S reproduces the same inboxes, order, and round charges at any
+/// worker count (pinned against the naive reference delivery in
+/// tests/oracles/ by tests/shard_test.cpp, and by the *_sharded golden
+/// CTest variants).
 
 #include <cstdint>
 #include <span>
@@ -94,15 +94,16 @@ void decode_shard_buffer(std::span<const unsigned char> bytes,
                                            detail::StagingBuffer* out,
                                            std::uint64_t* seq = nullptr);
 
-/// The S-shard delivery plane a Network runs when `set_shards(S > 1)`.
-/// Owned by Network; all staging entry points validate there first.
+/// The S-shard delivery plane every Network delivers through (S = 1 by
+/// default).  Owned by Network; all staging entry points validate there
+/// first.
 class ShardPlane {
  public:
   /// Partition the graph's vertices into `shards` contiguous ranges
-  /// (range s = [n*s/S, n*(s+1)/S), the scheduler's partition formula).
+  /// (range s = [n*s/S, n*(s+1)/S), the scheduler's partition formula) and
+  /// reset every buffer and inbox to empty.
   void configure(const Graph& g, int shards);
 
-  [[nodiscard]] bool active() const { return shards_ > 1; }
   [[nodiscard]] int shards() const { return shards_; }
   [[nodiscard]] int shard_of(VertexId v) const {
     return static_cast<int>(vshard_[v]);
@@ -112,27 +113,30 @@ class ShardPlane {
             bounds_[static_cast<std::size_t>(s) + 1]};
   }
 
-  /// Stage one pre-validated record from `sender_shard` (== shard_of(from)).
-  /// Distinct sender shards may stage concurrently (disjoint buffer rows).
-  /// Every staging entry point (send, send_to, and the run_round send
-  /// phase) lands here while the plane is active, so records arrive
-  /// pre-partitioned -- delivery never re-scans a mixed buffer.
-  void stage(int sender_shard, std::uint32_t global_slot, VertexId from,
-             const Message& msg);
+  /// Stage one pre-validated record.  Distinct sender shards may stage
+  /// concurrently (disjoint buffer rows), so records arrive
+  /// pre-partitioned -- delivery never re-scans a mixed buffer.  At S = 1
+  /// this is a plain push into the one buffer; at S > 1 the receiver is
+  /// resolved to pick the destination buffer and cached for delivery.
+  void stage(std::uint32_t global_slot, VertexId from, const Message& msg) {
+    if (shards_ == 1) {
+      bufs_[0].push(global_slot, from, msg);
+      return;
+    }
+    stage_routed(global_slot, from, msg);
+  }
 
-  /// The S x S buffer exchange + per-shard scatter.  Canonicalizes every
-  /// buffer, reads congestion off the per-slot runs, publishes the global
-  /// CSR offsets into `inbox_offsets` (size n+1), and fills the per-shard
-  /// inbox arenas.  Aggregation buffers are cleared afterwards (capacity
-  /// retained); totals and per-shard timings land in last_delivery().
-  void deliver(std::vector<std::uint32_t>& inbox_offsets, int workers);
+  /// The S x S buffer exchange + per-shard scatter on up to `workers`
+  /// threads.  Canonicalizes every buffer, reads congestion off the
+  /// per-slot runs, publishes the global CSR inbox offsets, and fills each
+  /// shard's slice of the inbox arena.  Aggregation buffers are cleared
+  /// afterwards (capacity retained); totals and per-shard timings land in
+  /// last_delivery().
+  void deliver(int workers);
 
-  /// Inbox span of v against the offsets the last deliver() published.
-  [[nodiscard]] std::span<const Envelope> inbox(
-      VertexId v, const std::vector<std::uint32_t>& inbox_offsets) const {
-    const auto s = static_cast<std::size_t>(vshard_[v]);
-    return {arena_[s].data() + (inbox_offsets[v] - shard_msg_base_[s]),
-            inbox_offsets[v + 1] - inbox_offsets[v]};
+  /// Messages delivered to v by the last deliver().
+  [[nodiscard]] std::span<const Envelope> inbox(VertexId v) const {
+    return {arena_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
   }
 
   /// Records staged across all aggregation buffers (diagnostics).
@@ -148,28 +152,28 @@ class ShardPlane {
                static_cast<std::size_t>(shards_) +
            static_cast<std::size_t>(dest);
   }
-  [[nodiscard]] detail::StagingBuffer& buf(int sender, int dest) {
-    return bufs_[index(sender, dest)];
-  }
+
+  /// stage() at S > 1: route by the receiver's shard and cache the target.
+  void stage_routed(std::uint32_t global_slot, VertexId from,
+                    const Message& msg);
 
   /// Fault-armed transport step, run serially at the top of deliver():
   /// every aggregation buffer crosses the exchange as an XDSB v2 frame,
   /// injected faults (shard.drop / corrupt / dup / reorder) damage frames
   /// in flight, and each destination column recovers by bounded re-request
   /// from the senders' retained staging copies.  Decoded buffers replace
-  /// the originals with their canonicalization metadata invalidated, so
-  /// phase A recomputes order and congestion from the wire content --
-  /// bit-identical results under any recoverable fault schedule.  Exhausted
-  /// retries throw CheckError.
+  /// the originals, and phase A recomputes order and congestion from the
+  /// wire content -- bit-identical results under any recoverable fault
+  /// schedule.  Exhausted retries throw CheckError.
   void wire_exchange();
 
   /// Phase A for dest shard s: canonicalize its S incoming buffers (sorted
-  /// detection, else a stable (slot, index) key sort recorded in order_),
-  /// read per-slot congestion runs, count per-receiver messages.
+  /// detection fused with the receiver count, else a stable (slot, index)
+  /// key sort recorded in order_) and read per-slot congestion runs.
   void phase_count(int s);
-  /// Phase B for dest shard s: publish global offsets, scatter the S
-  /// buffers in sender-shard order into this shard's arena.
-  void phase_scatter(int s, std::vector<std::uint32_t>& inbox_offsets);
+  /// Phase B for dest shard s: publish its slice of the global offsets,
+  /// scatter the S buffers in sender-shard order into its arena slice.
+  void phase_scatter(int s);
 
   const Graph* graph_ = nullptr;
   int shards_ = 1;
@@ -177,27 +181,26 @@ class ShardPlane {
   std::vector<std::uint32_t> vshard_;  ///< size n: vertex -> shard
   /// S x S aggregation buffers, row-major by sender shard.
   std::vector<detail::StagingBuffer> bufs_;
-  /// Per buffer, maintained incrementally by stage(): the record targets
-  /// (stage() resolves slot -> receiver to pick the destination shard
-  /// anyway, so delivery never repeats that random lookup), whether the
-  /// staged slots are still ascending, and -- while they are -- the
-  /// running/maximal slot run (== per-slot congestion in a sorted buffer).
+  /// Per buffer at S > 1: the record targets (stage() resolves slot ->
+  /// receiver to pick the destination shard anyway, so delivery never
+  /// repeats that random lookup).  Unused at S = 1, where delivery reads
+  /// targets off the graph instead of paying a second staging write.
   std::vector<std::vector<std::uint32_t>> tos_;
-  std::vector<char> stage_sorted_;
-  std::vector<std::uint32_t> stage_prev_;
-  std::vector<std::uint64_t> stage_run_;
-  std::vector<std::uint64_t> stage_cong_;
   /// Per buffer: canonical visit order when the staged order was unsorted
   /// (empty = already canonical, visit in staging order).
   std::vector<std::vector<std::uint32_t>> order_;
   std::vector<std::uint64_t> buf_congestion_;  ///< per buffer, phase A
-  /// Per dest shard: inbox arena, receiver counts/cursors scratch, and
-  /// (slot, index) key scratch for unsorted buffers.
-  std::vector<std::vector<Envelope>> arena_;
+  /// Inbox arena: dest shard s owns the slice [shard_msg_base_[s],
+  /// shard_msg_base_[s+1]), so parallel scatters never share a write.
+  std::vector<Envelope> arena_;
+  /// Per dest shard: receiver counts/cursors scratch and (slot, index) key
+  /// scratch for unsorted buffers.
   std::vector<std::vector<std::uint32_t>> counts_;
   std::vector<std::vector<std::uint64_t>> key_scratch_;
-  /// Size S+1: global message offset where each shard's arena begins.
+  /// Size S+1: arena offset where each dest shard's slice begins.
   std::vector<std::uint32_t> shard_msg_base_;
+  /// Size n+1: global CSR inbox offsets of the last delivery.
+  std::vector<std::uint32_t> offsets_;
   /// Logical-exchange sequence stamped into every wire frame.
   std::uint64_t exchange_seq_ = 0;
   ShardDeliveryStats stats_;

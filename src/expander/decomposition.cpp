@@ -92,22 +92,14 @@ void Driver::run(std::vector<VertexId> start, Rng top_rng) {
   // the host pool against forked ledger branches and joins them at the
   // barrier (components share the clock: rounds advance by the epoch MAX,
   // the composition the paper's Theorem 1/2 bounds assume).
-  const bool concurrent = prm.scheduler_threads >= 1;
-  const congest::EpochScheduler pool(concurrent ? prm.scheduler_threads : 1);
-
   while (!epoch.empty()) {
     ++out->epochs;
     std::vector<ItemResult> results(epoch.size());
-    if (concurrent) {
-      pool.run_forked(*ledger, epoch.size(),
-                      [&](std::size_t i, congest::RoundLedger& lg) {
-                        results[i] = run_item(epoch[i], lg);
-                      });
-    } else {
-      for (std::size_t i = 0; i < epoch.size(); ++i) {
-        results[i] = run_item(epoch[i], *ledger);
-      }
-    }
+    congest::EpochScheduler::run_epoch(
+        prm.scheduler_threads, *ledger, epoch.size(),
+        [&](std::size_t i, congest::RoundLedger& lg) {
+          results[i] = run_item(epoch[i], lg);
+        });
 
     // Barrier merge, in item-index order so ids and counters replay
     // identically at every thread count.  The εm budget guard lives here,

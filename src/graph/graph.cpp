@@ -133,15 +133,6 @@ Graph GraphBuilder::build() const {
     }
   }
 
-  // Incoming-slot mirror index: scanning directed slots in ascending order
-  // and appending each to its receiver's cursor yields, per receiver, the
-  // ascending list of slots that deliver into it.
-  g.incoming_slots_.resize(slots);
-  std::copy(g.offsets_.begin(), g.offsets_.end() - 1, cursor.begin());
-  for (std::uint32_t s = 0; s < slots; ++s) {
-    g.incoming_slots_[cursor[g.neighbors_[s]]++] = s;
-  }
-
   if (!allow_parallel_) {
     // Detect duplicate non-loop edges: sort each adjacency copy.
     std::vector<std::pair<VertexId, VertexId>> canon;

@@ -89,16 +89,6 @@ class Graph {
     return neighbors_[s];
   }
 
-  /// The directed slots that deliver INTO v -- the mirror of each of v's
-  /// adjacency slots (a self-loop slot mirrors itself) -- in ascending
-  /// order.  Exactly deg(v) entries, sharing offsets with neighbors(v).
-  /// This is what lets the round engine build CSR inboxes by counting
-  /// passes alone (no per-round sort): traffic grouped by directed slot is
-  /// already grouped by receiver through this index.
-  [[nodiscard]] std::span<const std::uint32_t> incoming_slots(VertexId v) const {
-    return {incoming_slots_.data() + offsets_[v], degree(v)};
-  }
-
   /// Number of self-loop slots at v.
   [[nodiscard]] std::uint32_t loops_at(VertexId v) const;
 
@@ -159,9 +149,6 @@ class Graph {
   /// offsets_ with the adjacency arrays.
   std::vector<VertexId> sorted_nbrs_;
   std::vector<std::uint32_t> sorted_slots_;
-  /// Per vertex: ascending directed slots delivering into it (see
-  /// incoming_slots()).  Shares offsets_.
-  std::vector<std::uint32_t> incoming_slots_;
   std::vector<VertexId> edge_u_, edge_v_;  ///< size num_edges_
   std::size_t num_edges_ = 0;
   std::size_t num_loops_ = 0;

@@ -217,19 +217,13 @@ CongestEnumResult enumerate_congest(const Graph& g, const EnumParams& prm,
       return res;
     };
 
+    // Concurrent clusters share the clock: forked branches join by max.
     std::vector<ClusterOut> cluster_out(todo.size());
-    if (prm.scheduler_threads >= 1) {
-      // Concurrent clusters share the clock: forked branches join by max.
-      const congest::EpochScheduler pool(prm.scheduler_threads);
-      pool.run_forked(ledger, todo.size(),
-                      [&](std::size_t i, congest::RoundLedger& lg) {
-                        cluster_out[i] = run_cluster(todo[i], item_rngs[i], lg);
-                      });
-    } else {
-      for (std::size_t i = 0; i < todo.size(); ++i) {
-        cluster_out[i] = run_cluster(todo[i], item_rngs[i], ledger);
-      }
-    }
+    congest::EpochScheduler::run_epoch(
+        prm.scheduler_threads, ledger, todo.size(),
+        [&](std::size_t i, congest::RoundLedger& lg) {
+          cluster_out[i] = run_cluster(todo[i], item_rngs[i], lg);
+        });
     // Each cluster's output is already sorted; one merge per level folds
     // them into the running list (no per-triangle std::set node churn).
     std::vector<Triangle> level_tris;

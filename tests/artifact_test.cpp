@@ -297,11 +297,22 @@ class ArtifactReject : public ::testing::Test {
     m_ = art.graph.num_edges();
   }
 
-  void expect_reject(const std::vector<unsigned char>& bytes,
-                     const char* what) {
+  /// Loads the mutated bytes and expects a CheckError whose message
+  /// contains `diagnostic` -- the check the case targets, not an earlier
+  /// one.  The whole-file checksum is zeroed first (the "no checksum"
+  /// sentinel): a mutated file would otherwise stop at the CRC before any
+  /// section parser ran.
+  void expect_reject(std::vector<unsigned char> bytes, const char* diagnostic) {
+    if (bytes.size() >= kHeader) patch<std::uint64_t>(bytes, 24, 0);
     const std::string p = tmp_path("reject_mut.xda");
     write_file(p, bytes);
-    EXPECT_THROW((void)load_artifact(p), CheckError) << what;
+    try {
+      (void)load_artifact(p);
+      ADD_FAILURE() << "accepted a file with a bad " << diagnostic;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(diagnostic), std::string::npos)
+          << "want '" << diagnostic << "', got: " << e.what();
+    }
   }
 
   std::string path_;
@@ -317,136 +328,133 @@ TEST_F(ArtifactReject, MissingFile) {
 TEST_F(ArtifactReject, TruncatedHeader) {
   auto b = bytes_;
   b.resize(16);
-  expect_reject(b, "16-byte file");
+  expect_reject(b, "truncated header");
   b.clear();
-  expect_reject(b, "empty file");
+  expect_reject(b, "truncated header");
 }
 
 TEST_F(ArtifactReject, BadMagic) {
   auto b = bytes_;
   patch<std::uint32_t>(b, 0, 0xdeadbeefu);
-  expect_reject(b, "magic");
+  expect_reject(b, "bad magic");
 }
 
 TEST_F(ArtifactReject, BadVersion) {
   auto b = bytes_;
   patch<std::uint32_t>(b, 4, kArtifactVersion + 1);
-  expect_reject(b, "version");
+  expect_reject(b, "unsupported XDA1 version");
 }
 
 TEST_F(ArtifactReject, BadSectionCount) {
   auto b = bytes_;
   patch<std::uint64_t>(b, 8, 7);
-  expect_reject(b, "section count");
+  expect_reject(b, "sections, header claims 7");
 }
 
 TEST_F(ArtifactReject, TruncatedFile) {
   auto b = bytes_;
   ASSERT_GT(b.size(), kHeader);
   b.resize(b.size() - 1);  // header file_size no longer matches
-  expect_reject(b, "truncation");
+  expect_reject(b, "bytes, file has");
 }
 
 TEST_F(ArtifactReject, WrongSectionTag) {
   auto b = bytes_;
   patch<std::uint32_t>(b, kHeader + 2 * kEntry, 0x21212121u);
-  expect_reject(b, "tag");
+  expect_reject(b, "section 2 tag 0x21212121");
 }
 
 TEST_F(ArtifactReject, NonContiguousSections) {
   auto b = bytes_;
   patch<std::uint64_t>(b, kHeader + 1 * kEntry + 8,
                        section_offset(b, 1) + 8);
-  expect_reject(b, "offset gap");
+  expect_reject(b, "section 1 offset");
 }
 
 TEST_F(ArtifactReject, SectionOverrunsFile) {
   auto b = bytes_;
   patch<std::uint64_t>(b, kHeader + 5 * kEntry + 16, section_size(b, 5) + 8);
-  expect_reject(b, "overrun");
+  expect_reject(b, "section 5 overruns the file");
 }
 
 TEST_F(ArtifactReject, TrailingBytes) {
   auto b = bytes_;
   b.insert(b.end(), 4, 0);
   patch<std::uint64_t>(b, 16, b.size());
-  expect_reject(b, "trailing bytes");
+  expect_reject(b, "4 trailing bytes");
 }
 
 TEST_F(ArtifactReject, GraphEdgeOutOfRange) {
   auto b = bytes_;
   patch<std::uint32_t>(b, section_offset(b, 0) + 16, 0xfffffff0u);
-  expect_reject(b, "edge endpoint");
+  expect_reject(b, "GRPH edge 0 = (4294967280");
 }
 
 TEST_F(ArtifactReject, GraphEdgeCountMismatch) {
   auto b = bytes_;
   patch<std::uint64_t>(b, section_offset(b, 0) + 8, m_ + 1);
-  expect_reject(b, "edge count");
+  expect_reject(b, "GRPH payload holds");
 }
 
 TEST_F(ArtifactReject, ComponentLabelOutOfRange) {
   auto b = bytes_;
   patch<std::uint32_t>(b, section_offset(b, 1) + 32, 0xffffffffu);
-  expect_reject(b, "component label");
+  expect_reject(b, "vertex 0 label 4294967295 out of range");
 }
 
 TEST_F(ArtifactReject, RemovedFlagNotBoolean) {
   auto b = bytes_;
   patch<std::uint8_t>(b, section_offset(b, 1) + 32 + 4 * n_, 2);
-  expect_reject(b, "removed flag");
+  expect_reject(b, "DCMP removed flag 2 at edge 0");
 }
 
 TEST_F(ArtifactReject, ComponentSizesDontSum) {
   auto b = bytes_;
   const std::size_t off = section_offset(b, 2) + 4;  // first size field
   patch<std::uint32_t>(b, off, peek<std::uint32_t>(b, off) + 1);
-  expect_reject(b, "size sum");
+  expect_reject(b, "STAT sizes sum to");
 }
 
 TEST_F(ArtifactReject, ZeroRouterDepth) {
   auto b = bytes_;
   patch<std::uint32_t>(b, section_offset(b, 3), 0);
-  expect_reject(b, "depth 0");
+  expect_reject(b, "HIER depth 0 < 1");
 }
 
 TEST_F(ArtifactReject, RelayParentOutOfRange) {
   auto b = bytes_;
   patch<std::uint32_t>(b, section_offset(b, 3) + 8, 0xffffffffu);
-  expect_reject(b, "relay parent");
+  expect_reject(b, "relay parent of 0 out of range");
 }
 
 TEST_F(ArtifactReject, RelayDepthInconsistent) {
   auto b = bytes_;
   const std::size_t depth0 = section_offset(b, 3) + 8 + 4 * n_;
   patch<std::uint32_t>(b, depth0, peek<std::uint32_t>(b, depth0) + 5);
-  expect_reject(b, "relay depth");
+  expect_reject(b, "relay root 0 at depth 5");
 }
 
 TEST_F(ArtifactReject, TrianglesNotSorted) {
   auto b = bytes_;
   patch<std::uint32_t>(b, section_offset(b, 4) + 8, 0xfffffff0u);
-  expect_reject(b, "triangle order");
+  expect_reject(b, "TRIS triple 0 is not sorted");
 }
 
 TEST_F(ArtifactReject, UnknownDecompositionBackend) {
-  // Zero the whole-file checksum first (legacy "no checksum" sentinel) so
-  // the META range check itself fires, not the CRC mismatch.  The high-bit
-  // values must be rejected on the raw u32, not after a cast to int.
+  // The high-bit values must be rejected on the raw u32, not after a cast
+  // to int.
   for (const std::uint32_t code : {2u, 7u, 0x80000000u, 0xffffffffu}) {
     auto b = bytes_;
-    patch<std::uint64_t>(b, 24, 0);
     patch<std::uint32_t>(b, section_offset(b, 5) + 68, code);
-    expect_reject(b, "decomposition backend");
+    expect_reject(b, "META decomposition backend");
   }
 }
 
 TEST_F(ArtifactReject, UnknownRouterBackend) {
   for (const std::int32_t code : {3, -1}) {
     auto b = bytes_;
-    patch<std::uint64_t>(b, 24, 0);
     patch<std::int32_t>(b, section_offset(b, 5) + 20, code);
-    expect_reject(b, "router backend");
+    expect_reject(b, "META router backend");
   }
 }
 
@@ -457,7 +465,6 @@ TEST_F(ArtifactReject, SectionSizeWrapsAroundTheFile) {
   // count is set to match the wrapped payload.  Without the wrap check
   // the loader goes on to reserve 2^61 edges.
   auto b = bytes_;
-  patch<std::uint64_t>(b, 24, 0);
   const std::uint64_t t = section_offset(b, 0);
   const std::uint64_t s0 = section_size(b, 0);
   const std::uint64_t s1 = section_size(b, 1);
@@ -466,7 +473,7 @@ TEST_F(ArtifactReject, SectionSizeWrapsAroundTheFile) {
   patch<std::uint64_t>(b, t + 8, (wrapped - 16) / 8);  // GRPH m
   patch<std::uint64_t>(b, kHeader + 1 * kEntry + 8, t - 8);
   patch<std::uint64_t>(b, kHeader + 1 * kEntry + 16, s0 + s1 + 8);
-  expect_reject(b, "wrapped section size");
+  expect_reject(b, "section 0 overruns the file");
 }
 
 TEST_F(ArtifactReject, MetaSizeWrong) {
@@ -474,7 +481,7 @@ TEST_F(ArtifactReject, MetaSizeWrong) {
   patch<std::uint64_t>(b, kHeader + 5 * kEntry + 16, section_size(b, 5) - 8);
   patch<std::uint64_t>(b, 16, b.size() - 8);
   b.resize(b.size() - 8);
-  expect_reject(b, "meta size");
+  expect_reject(b, "META size 72 != 80");
 }
 
 }  // namespace

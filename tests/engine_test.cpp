@@ -1,7 +1,7 @@
-// Batched round-engine tests: flat CSR inbox delivery vs a reference
-// nested-vector implementation, canonical delivery order, parallel-executor
-// determinism, the O(log deg) send_to slot index, and the
-// exchange_charging accounting contract.
+// Batched round-engine tests: flat CSR inbox delivery vs the naive
+// reference oracle (tests/oracles/), canonical delivery order,
+// parallel-executor determinism, the O(log deg) send_to slot index, and
+// the exchange_charging accounting contract.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "congest/network.hpp"
 #include "graph/generators.hpp"
 #include "ldd/mpx.hpp"
+#include "oracles/delivery_oracle.hpp"
 #include "primitives/forest.hpp"
 #include "primitives/sampling.hpp"
 #include "util/check.hpp"
@@ -22,24 +23,14 @@ namespace {
 
 // ------------------------------------------------------ flat delivery -----
 
-// Reference delivery semantics: every staged message lands in its
-// receiver's inbox, ordered by (sender's directed slot, staging order).
-struct RefStaged {
-  std::uint32_t directed_slot;
-  std::size_t index;
-  VertexId from;
-  VertexId to;
-  Message msg;
-};
-
-TEST(Engine, FlatDeliveryMatchesNestedReference) {
+TEST(Engine, FlatDeliveryMatchesOracle) {
   Rng rng(12);
   const Graph g = gen::gnp(64, 0.15, rng);
   RoundLedger ledger;
   Network net(g, ledger, 5);
+  oracle::DeliveryOracle ref(g);
 
   // Random staging pattern, including repeats on the same slot.
-  std::vector<RefStaged> ref;
   Rng pick(99);
   for (int i = 0; i < 500; ++i) {
     const auto v = static_cast<VertexId>(pick.next_below(g.num_vertices()));
@@ -48,25 +39,17 @@ TEST(Engine, FlatDeliveryMatchesNestedReference) {
     if (g.neighbors(v)[slot] == v) continue;
     const Message m{7, pick(), pick()};
     net.send(v, slot, m);
-    ref.push_back(RefStaged{g.slot_base(v) + slot, ref.size(), v,
-                            g.neighbors(v)[slot], m});
+    ref.send(v, slot, m);
   }
-  net.exchange("ref");
+  const oracle::Delivery want = ref.deliver();
+  EXPECT_EQ(net.exchange("ref"), want.rounds);
 
-  std::stable_sort(ref.begin(), ref.end(),
-                   [](const RefStaged& a, const RefStaged& b) {
-                     return a.directed_slot < b.directed_slot;
-                   });
-  std::vector<std::vector<Envelope>> expected(g.num_vertices());
-  for (const RefStaged& s : ref) {
-    expected[s.to].push_back(Envelope{s.from, s.msg});
-  }
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     const auto in = net.inbox(v);
-    ASSERT_EQ(in.size(), expected[v].size()) << "vertex " << v;
+    ASSERT_EQ(in.size(), want.inbox[v].size()) << "vertex " << v;
     for (std::size_t i = 0; i < in.size(); ++i) {
-      EXPECT_EQ(in[i].from, expected[v][i].from);
-      EXPECT_EQ(in[i].msg, expected[v][i].msg);
+      EXPECT_EQ(in[i].from, want.inbox[v][i].from);
+      EXPECT_EQ(in[i].msg, want.inbox[v][i].msg);
     }
   }
 }
@@ -131,6 +114,9 @@ Fingerprint run_stack(int threads) {
   const Graph g = gen::gnp(150, 0.06, rng);
   RoundLedger ledger;
   Network net(g, ledger, 321);
+  // Workers run whole shards, so a parallel run needs S >= threads; the
+  // serial baseline keeps the construction default.
+  if (threads > 1) net.set_shards(threads);
   net.set_threads(threads);
 
   Fingerprint fp;
@@ -165,6 +151,7 @@ TEST(Engine, ParallelPhaseExceptionsAreCatchable) {
   const Graph g = gen::path(4);
   RoundLedger ledger;
   Network net(g, ledger);
+  net.set_shards(3);
   net.set_threads(3);
   auto program = make_program(
       [](VertexId v, Outbox& out) {

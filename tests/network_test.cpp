@@ -174,13 +174,13 @@ TEST(CliqueNetwork, RejectsSelfSend) {
   EXPECT_THROW(net.send(1, 1, Message{}), CheckError);
 }
 
-TEST(Network, SortedFastPathPrefetchStaysInBoundsOnTailHeavyReceiver) {
-  // Regression for the delivery fast path's write-ahead prefetch: with all
+TEST(Network, ScatterPrefetchStaysInBoundsOnTailHeavyReceiver) {
+  // Regression for the delivery scatter's write-ahead prefetch: with all
   // traffic landing in the LAST vertex's inbox, that receiver's scatter
   // cursor reaches the arena end while the loop is still hinting ahead, so
-  // an unclamped &arena_[cursor] would index past the allocation.  Staging
-  // by ascending sender keeps the slots sorted (the fast path runs); the
-  // CI ASan job executes this test to police the bound.
+  // an unclamped &arena[cursor] would index past the allocation.  Staging
+  // by ascending sender keeps the slots sorted (the in-order scatter runs);
+  // the CI ASan job executes this test to police the bound.
   constexpr std::size_t kSenders = 64;
   GraphBuilder b(kSenders + 1);
   for (VertexId v = 0; v < kSenders; ++v) {
@@ -189,7 +189,7 @@ TEST(Network, SortedFastPathPrefetchStaysInBoundsOnTailHeavyReceiver) {
   const Graph g = b.build();
   RoundLedger ledger;
   Network net(g, ledger);
-  net.set_shards(1);  // pin the shared-arena fast path under XD_SHARDS too
+  net.set_shards(1);  // one arena, even under XD_SHARDS
   for (VertexId v = 0; v < kSenders; ++v) {
     net.send_to(v, static_cast<VertexId>(kSenders), Message{1, v});
   }

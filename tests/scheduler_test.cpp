@@ -238,6 +238,26 @@ TEST(EpochScheduler, RunForkedJoinsMaxAndSum) {
   EXPECT_EQ(root.messages(), 6u);   // 1 + 2 + 3
 }
 
+TEST(EpochScheduler, RunEpochSumsSequentiallyAndJoinsMaxConcurrently) {
+  const auto charge = [](std::size_t i, congest::RoundLedger& lg) {
+    lg.charge(10 * (i + 1), "work");
+    lg.count_messages(i + 1);
+  };
+  // threads < 1: items charge the root in index order (rounds sum).
+  congest::RoundLedger seq;
+  congest::EpochScheduler::run_epoch(0, seq, 3, charge);
+  EXPECT_EQ(seq.rounds(), 60u);  // 10 + 20 + 30
+  EXPECT_EQ(seq.messages(), 6u);
+  // threads >= 1: forked branches joined at the barrier (rounds max).
+  for (const int threads : {1, 4}) {
+    congest::RoundLedger root;
+    congest::EpochScheduler::run_epoch(threads, root, 3, charge);
+    EXPECT_EQ(root.forked(), 0u);
+    EXPECT_EQ(root.rounds(), 30u) << "threads=" << threads;
+    EXPECT_EQ(root.messages(), 6u);
+  }
+}
+
 TEST(EpochScheduler, RunForkedJoinsEvenWhenAnItemThrows) {
   // A throwing item must not leave stale forked children behind: the next
   // epoch's join would silently merge the aborted epoch's branches.

@@ -11,6 +11,7 @@
 #include "congest/network.hpp"
 #include "corpus.hpp"
 #include "graph/generators.hpp"
+#include "oracles/delivery_oracle.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -35,15 +36,22 @@ struct Chatter final : VertexProgram {
   int round = 0;
   std::vector<std::uint64_t> acc;
 
-  void on_send(VertexId v, Outbox& out) override {
+  /// v's sends this round as send(slot, msg) -- shared by the engine's
+  /// on_send and the oracle run.
+  template <class Send>
+  void emit(VertexId v, Send send) const {
     if (v % 3 == 2) return;
     const auto nbrs = g->neighbors(v);
     for (std::uint32_t s = static_cast<std::uint32_t>(nbrs.size()); s-- > 0;) {
       if (nbrs[s] == v) continue;
-      out.send(s, Message{static_cast<std::uint32_t>(round),
-                          (std::uint64_t{v} << 32) | s, v + 1});
-      if (s == 0 && round % 2 == 0) out.send(s, Message{7, v});
+      send(s, Message{static_cast<std::uint32_t>(round),
+                      (std::uint64_t{v} << 32) | s, v + 1});
+      if (s == 0 && round % 2 == 0) send(s, Message{7, v});
     }
+  }
+
+  void on_send(VertexId v, Outbox& out) override {
+    emit(v, [&](std::uint32_t s, const Message& m) { out.send(s, m); });
   }
 
   void on_receive(VertexId v, std::span<const Envelope> inbox) override {
@@ -81,14 +89,37 @@ RunResult run_chatter(const Graph& g, int shards, int threads) {
   return r;
 }
 
-// The tentpole conformance grid: inbox fold hashes, per-step round charges
-// (max congestion), and ledger totals must be bit-identical to the serial
-// shared-arena run at every shards x threads combination.
-TEST(ShardConformance, GridMatchesSharedArenaOnAllTopologies) {
+/// The same four Chatter rounds delivered by the naive reference oracle.
+RunResult run_chatter_oracle(const Graph& g) {
+  oracle::DeliveryOracle ref(g);
+  Chatter program(g);
+  RunResult r;
+  for (program.round = 0; program.round < 4; ++program.round) {
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      program.emit(v, [&](std::uint32_t s, const Message& m) {
+        ref.send(v, s, m);
+      });
+    }
+    const oracle::Delivery d = ref.deliver();
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      program.on_receive(v, d.inbox[v]);
+    }
+    r.rounds_per_step.push_back(d.rounds);
+    r.rounds += d.rounds;
+    r.messages += d.messages;
+  }
+  r.acc = program.acc;
+  return r;
+}
+
+// The delivery conformance grid: inbox fold hashes (contents and order),
+// per-step round charges (max congestion), and ledger totals must match
+// the naive reference oracle at every shards x threads combination.
+TEST(ShardConformance, GridMatchesOracleOnAllTopologies) {
   for (const char* name : {"expander", "dumbbell", "star"}) {
     SCOPED_TRACE(name);
     const Graph g = topology(name);
-    const RunResult baseline = run_chatter(g, /*shards=*/1, /*threads=*/1);
+    const RunResult baseline = run_chatter_oracle(g);
     EXPECT_GT(baseline.messages, 0u);
     for (const int shards : {1, 2, 4, 8}) {
       for (const int threads : {1, 2, 8}) {
@@ -102,11 +133,11 @@ TEST(ShardConformance, GridMatchesSharedArenaOnAllTopologies) {
 
 // Direct send()/send_to() staging (no VertexProgram) routes straight into
 // the sender shard's aggregation buffers: contents, order, and round charges
-// must match the shared arena, including same-slot re-send ties staged out
-// of order.
-TEST(ShardConformance, DirectExchangeMatchesSharedArena) {
+// must match the oracle at every shard count, including same-slot re-send
+// ties staged out of order.
+TEST(ShardConformance, DirectExchangeMatchesOracle) {
   const Graph g = topology("gnp-medium");
-  const auto stage_all = [&](Network& net) {
+  const auto stage_all = [&](auto& net) {
     for (VertexId v = g.num_vertices(); v-- > 0;) {
       const auto nbrs = g.neighbors(v);
       for (std::uint32_t s = 0; s < nbrs.size(); ++s) {
@@ -116,36 +147,36 @@ TEST(ShardConformance, DirectExchangeMatchesSharedArena) {
       }
     }
   };
-  RoundLedger shared_ledger;
-  Network shared(g, shared_ledger);
-  shared.set_shards(1);
-  stage_all(shared);
-  const std::uint64_t shared_rounds = shared.exchange("direct");
+  oracle::DeliveryOracle ref(g);
+  stage_all(ref);
+  const oracle::Delivery want = ref.deliver();
+  EXPECT_GT(want.rounds, 1u);
 
-  for (const int shards : {2, 4, 8}) {
+  for (const int shards : {1, 2, 4, 8}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     RoundLedger ledger;
     Network net(g, ledger);
     net.set_shards(shards);
     net.set_threads(4);
     stage_all(net);
-    EXPECT_EQ(net.exchange("direct"), shared_rounds);
+    EXPECT_EQ(net.exchange("direct"), want.rounds);
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      const auto a = shared.inbox(v);
-      const auto b = net.inbox(v);
-      ASSERT_EQ(a.size(), b.size()) << "vertex " << v;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].from, b[i].from) << "vertex " << v << " msg " << i;
-        EXPECT_EQ(a[i].msg, b[i].msg) << "vertex " << v << " msg " << i;
+      const auto got = net.inbox(v);
+      ASSERT_EQ(got.size(), want.inbox[v].size()) << "vertex " << v;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].from, want.inbox[v][i].from)
+            << "vertex " << v << " msg " << i;
+        EXPECT_EQ(got[i].msg, want.inbox[v][i].msg)
+            << "vertex " << v << " msg " << i;
       }
     }
-    EXPECT_EQ(ledger.rounds(), shared_ledger.rounds());
-    EXPECT_EQ(ledger.messages(), shared_ledger.messages());
+    EXPECT_EQ(ledger.rounds(), want.rounds);
+    EXPECT_EQ(ledger.messages(), want.messages);
   }
 }
 
 // Direct sends staged before a run_round must precede the send phase's
-// messages on the same slot (the shared path's tiebreak), sharded or not.
+// messages on the same slot (staging order breaks slot ties) at any S.
 TEST(ShardConformance, DirectSendsPrecedeProgramStagingOnSlotTies) {
   const Graph g = gen::path(2);
   auto run = [&](int shards) {
@@ -182,7 +213,7 @@ TEST(ShardConformance, EmptyExchangeChargesOneRoundAndOverridesHold) {
     EXPECT_TRUE(net.inbox(v).empty());
   }
   // Congestion 2 under an override of 5 charges 5; an override below the
-  // congestion is rejected, same as the shared path.
+  // congestion is rejected, same as at S = 1.
   net.send_to(1, 0, Message{1, 1});
   net.send_to(1, 0, Message{2, 2});
   EXPECT_EQ(net.exchange_charging("override", 5), 5u);
@@ -382,8 +413,8 @@ TEST(ShardCount, ParserRejectsGarbageLoudly) {
   EXPECT_THROW((void)parse_shard_count(nullptr), CheckError);
 }
 
-// A garbage XD_SHARDS value must fail Network construction loudly, not run
-// silently unsharded.
+// A garbage XD_SHARDS value must fail Network construction loudly, not
+// silently fall back to one shard.
 TEST(ShardCount, NetworkCtorRejectsGarbageEnv) {
   const char* saved = std::getenv("XD_SHARDS");
   const std::string restore = saved != nullptr ? saved : "";
